@@ -20,6 +20,8 @@ from functools import cached_property
 from typing import NamedTuple, Protocol, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 EMPTY = 0
 WALL = 1
@@ -199,16 +201,25 @@ def sample_task(maze: Maze, seed: int, min_dist: int | None = None) -> Task:
     if min_dist is None:
         i, j = rng.choice(len(empties), size=2, replace=False)
         return Task(maze, empties[int(i)], empties[int(j)])
-    dists = {s: bfs_distances(maze, s) for s in empties}
-    diameter = max(max(d.values()) for d in dists.values())
-    floor = min(min_dist, diameter)
-    pairs = [
-        (s, g)
-        for s in empties
-        for g in empties
-        if s != g and dists[s].get(g, -1) >= floor
-    ]
-    return Task(maze, *pairs[int(rng.integers(len(pairs)))])
+    dist = shortest_path(_empty_cell_graph(maze), directed=False, unweighted=True)
+    reachable = np.isfinite(dist)
+    floor = min(min_dist, dist[reachable].max())
+    # row-major (start, goal) order over the row-major empty cells
+    starts, goals = np.nonzero(reachable & (dist >= floor) & ~np.eye(len(empties), dtype=bool))
+    pick = int(rng.integers(len(starts)))
+    return Task(maze, empties[starts[pick]], empties[goals[pick]])
+
+
+def _empty_cell_graph(maze: Maze) -> csr_matrix:
+    """4-adjacency between empty cells, indexed in row-major order."""
+    index = np.full(maze.cells.shape, -1, dtype=np.int64)
+    rows, cols = np.nonzero(maze.cells == EMPTY)
+    index[rows, cols] = np.arange(len(rows))
+    a = np.concatenate([index[:, :-1].ravel(), index[:-1, :].ravel()])
+    b = np.concatenate([index[:, 1:].ravel(), index[1:, :].ravel()])
+    edge = (a >= 0) & (b >= 0)
+    n = len(rows)
+    return csr_matrix((np.ones(int(edge.sum())), (a[edge], b[edge])), shape=(n, n))
 
 
 def encode_task(task: Task) -> np.ndarray:

@@ -637,6 +637,8 @@ def detect_artifact_type(text: str) -> str:
 
 def validate_artifact(text: str) -> str:
     """Parse a harness-written file strictly; returns its detected type."""
+    if not text.strip():
+        raise ValueError("empty artifact file")
     kind = detect_artifact_type(text)
     try:
         _validate_as(kind, text)

@@ -621,6 +621,8 @@ def _parse_cell(text: str) -> StateId:
 
 
 def load_replay(text: str) -> ReplayBuffer:
+    """Inverse of save_replay.  Entries pass the same checks as add_value and
+    add_prior, and a snapshot may not hold more entries than its capacity."""
     lines = text.splitlines()
     if not lines or lines[0] != "replay v1":
         raise ValueError("bad replay header")
@@ -630,25 +632,35 @@ def load_replay(text: str) -> ReplayBuffer:
         if not parts:
             continue
         if parts[0] == "meta":
+            if len(parts) != 3:
+                raise ValueError(f"bad replay meta line: {line!r}")
             if parts[1] == "capacity":
+                if buffer is not None:
+                    raise ValueError("replay snapshot repeats its capacity")
                 buffer = ReplayBuffer(capacity=int(parts[2]))
+        elif parts[0] not in ("value", "prior"):
+            raise ValueError(f"bad replay line: {line!r}")
+        elif buffer is None:
+            raise ValueError(f"replay entry before the capacity line: {line!r}")
         elif parts[0] == "value":
+            if len(buffer.value_entries) >= buffer.capacity:
+                raise ValueError("replay snapshot holds more value entries than its capacity")
             s = _parse_cell(parts[1])
             s2 = _parse_cell(parts[2])
             target = float(parts[3])
             h, w = int(parts[4]), int(parts[5])
             enc = _decode_compact(parts[6], h, w)
-            buffer.value_entries.append(ValueEntry(enc, OrKey(s, s2), target))
-        elif parts[0] == "prior":
+            buffer.add_value(ValueEntry(enc, OrKey(s, s2), target))
+        else:
+            if len(buffer.prior_entries) >= buffer.capacity:
+                raise ValueError("replay snapshot holds more prior entries than its capacity")
             s = _parse_cell(parts[1])
             mid = None if parts[2] == "∅" else _parse_cell(parts[2])
             s2 = _parse_cell(parts[3])
             h, w = int(parts[4]), int(parts[5])
             enc = _decode_compact(parts[6], h, w)
             target = np.array([float(x) for x in parts[7:]])
-            buffer.prior_entries.append(PriorEntry(enc, s, mid, s2, target))
-        else:
-            raise ValueError(f"bad replay line: {line!r}")
+            buffer.add_prior(PriorEntry(enc, s, mid, s2, target))
     if buffer is None:
         raise ValueError("replay snapshot missing capacity")
     return buffer

@@ -508,69 +508,64 @@ def _reachable_key_cap(n: int, max_depth: int, mode: str) -> int:
 class _Extractor:
     """Deterministic extraction by realizable value.
 
-    A node's level-d value is the best return achievable by decomposing it
+    A key's level-d value is the best return achievable by decomposing it
     into searched sub-tasks using at most d more split levels: segments are
     worth v_pi, and a split is worth the product of its children's values.
-    Candidate mids at a key are those with at least one child in the tree
-    (right child for sequential mode); a child outside the tree contributes
-    its v_pi as a direct segment.  This scores plans by what executing them
-    is actually worth, so an unvisited branch can never lure extraction into
-    a dead segment.  Ties prefer ∅, then the first mid in row-major order.
+    Over the dense (n, n) matrices this is a masked max-product.  With T the
+    "key in tree" mask and W_0 = v_pi, level d is
+
+        W_d[i, j] = max(v_pi[i, j], max over x in M[i, j] of W_{d-1}[i, x] · W_{d-1}[x, j])
+
+    for every tree key (i, j), and W_d = v_pi elsewhere.  The candidate mask
+    M admits mids x with at least one child in the tree, T[i, x] | T[x, j]
+    (the right child T[x, j] alone in sequential mode, whose left factor is
+    v_pi[i, x]), and never x = i or x = j; a child outside the tree
+    contributes its v_pi as a direct segment.  This scores plans by what
+    executing them is actually worth, so an unvisited branch can never lure
+    extraction into a dead segment.  A mid is chosen only when it strictly
+    beats v_pi, so ties prefer ∅, then the first mid in row-major order.
     """
 
     def __init__(self, ctx: PlanningContext, tree: SearchTree):
         self.ctx = ctx
         self.tree = tree
         self.seq = ctx.config.mode == "sequential_right"
-        self.cands: dict[OrKey, list[StateId]] = {}
-        left_anchor: dict[StateId, set[StateId]] = {}
-        right_anchor: dict[StateId, set[StateId]] = {}
-        for k in tree.or_nodes:
-            left_anchor.setdefault(k.s, set()).add(k.s2)
-            right_anchor.setdefault(k.s2, set()).add(k.s)
-        for k in tree.or_nodes:
-            if self.seq:
-                pool = right_anchor.get(k.s2, set())
-            else:
-                pool = left_anchor.get(k.s, set()) | right_anchor.get(k.s2, set())
-            self.cands[k] = sorted(x for x in pool if x != k.s and x != k.s2)
+        keys = list(tree.or_nodes)
+        self.row = {k: r for r, k in enumerate(keys)}
+        self.I = np.array([ctx.index[k.s] for k in keys], dtype=np.intp)
+        self.J = np.array([ctx.index[k.s2] for k in keys], dtype=np.intp)
+        T = np.zeros((ctx.n, ctx.n), dtype=bool)
+        T[self.I, self.J] = True
+        M = T[:, self.J].T if self.seq else T[self.I] | T[:, self.J].T
+        rows = np.arange(len(keys))
+        M[rows, self.I] = False
+        M[rows, self.J] = False
+        self.mask = M
         self.levels = self._value_levels()
 
-    def _child_value(self, level: dict[OrKey, float], child: OrKey) -> float:
-        v = level.get(child)
-        return self.ctx.vpi_key(child) if v is None else v
+    def _split_scores(self, W: np.ndarray, I, J, mask: np.ndarray) -> np.ndarray:
+        """Masked split values W[i, x]·W[x, j] (v_pi[i, x] on the left in
+        sequential mode), -inf where x is not a candidate."""
+        left = self.ctx.v_pi[I] if self.seq else W[I]
+        return np.where(mask, left * W[:, J].T, -np.inf)
 
-    def _value_levels(self) -> list[dict[OrKey, float]]:
-        vpi = self.ctx.vpi_key
-        levels = [{k: vpi(k) for k in self.tree.or_nodes}]
+    def _value_levels(self) -> list[np.ndarray]:
+        v_pi = self.ctx.v_pi
+        direct = v_pi[self.I, self.J]
+        levels = [v_pi]
         for _ in range(self.tree.max_depth):
-            prev = levels[-1]
-            cur = {}
-            for k, cands in self.cands.items():
-                best = vpi(k)
-                for x in cands:
-                    lv = vpi(OrKey(k.s, x)) if self.seq else self._child_value(prev, OrKey(k.s, x))
-                    rv = self._child_value(prev, OrKey(x, k.s2))
-                    score = lv * rv
-                    if score > best:
-                        best = score
-                cur[k] = best
+            split = self._split_scores(levels[-1], self.I, self.J, self.mask).max(axis=1)
+            cur = v_pi.copy()
+            cur[self.I, self.J] = np.maximum(direct, split)
             levels.append(cur)
         return levels
 
     def _best_mid(self, key: OrKey, d: int) -> SubGoal:
-        prev = self.levels[d - 1]
-        vpi = self.ctx.vpi_key
-        best = vpi(key)  # the ∅ choice; strict > required to beat it
-        best_mid = None
-        for x in self.cands[key]:
-            lv = vpi(OrKey(key.s, x)) if self.seq else self._child_value(prev, OrKey(key.s, x))
-            rv = self._child_value(prev, OrKey(x, key.s2))
-            score = lv * rv
-            if score > best:
-                best = score
-                best_mid = x
-        return best_mid
+        r = self.row[key]
+        i, j = self.I[r], self.J[r]
+        scores = self._split_scores(self.levels[d - 1], i, j, self.mask[r])
+        x = int(np.argmax(scores))
+        return self.ctx.cells[x] if scores[x] > self.ctx.v_pi[i, j] else None
 
     def node(self, key: OrKey, d: int) -> SolutionNode:
         if d == 0 or key not in self.tree.or_nodes:

@@ -465,6 +465,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             validate_artifact("model v1\n")  # truncated checkpoint
 
+    @pytest.mark.parametrize("text", ["", "\n", "  \n\t\n"])
+    def test_rejects_empty_artifact(self, text):
+        with pytest.raises(ValueError, match="empty"):
+            validate_artifact(text)
+
     def test_accepts_plan_report(self):
         maze = open_grid(3)
         task = Task(maze, cell(0, 0), cell(2, 2))

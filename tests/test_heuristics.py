@@ -624,6 +624,40 @@ class TestReplayPersistence:
             load_replay("replays v1\n")
         with pytest.raises(ValueError, match="capacity"):
             load_replay("replay v1\n")
+        with pytest.raises(ValueError, match="meta"):
+            load_replay("replay v1\nmeta capacity\n")
+        with pytest.raises(ValueError, match="repeats"):
+            load_replay("replay v1\nmeta capacity 4\nmeta capacity 8\n")
+
+    def snapshot(self, capacity: int, values=(), priors=()) -> str:
+        """save_replay of a buffer filled without add_* validation."""
+        maze = row_maze(3)
+        buf = ReplayBuffer(capacity=capacity)
+        buf.value_entries.extend(value_entry(maze, t) for t in values)
+        buf.prior_entries.extend(prior_entry(maze, t) for t in priors)
+        return save_replay(buf)
+
+    def test_entries_beyond_capacity_rejected(self):
+        with pytest.raises(ValueError, match="capacity"):
+            load_replay(self.snapshot(1, values=(0.2, 0.4)))
+        uniform = np.full(4, 0.25)
+        with pytest.raises(ValueError, match="capacity"):
+            load_replay(self.snapshot(1, priors=(uniform, uniform)))
+        assert len(load_replay(self.snapshot(2, values=(0.2, 0.4))).value_entries) == 2
+
+    def test_value_target_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="value target"):
+            load_replay(self.snapshot(4, values=(7.5,)))
+
+    def test_prior_target_must_sum_to_one(self):
+        with pytest.raises(ValueError, match="prior target"):
+            load_replay(self.snapshot(4, priors=([0.3, 0.1, 0.1, 0.1],)))
+
+    def test_data_before_meta_rejected(self):
+        lines = self.snapshot(4, values=(0.5,)).splitlines()
+        moved = "\n".join([lines[0], lines[2], lines[1]]) + "\n"
+        with pytest.raises(ValueError, match="before"):
+            load_replay(moved)
 
 
 # ---------------------------------------------------------------------------

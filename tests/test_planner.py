@@ -3,15 +3,20 @@ search invariants, baselines, and determinism (including parallel AND)."""
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subplan.gridworld import Maze, Pi0, StateId, Task, generate_maze, sample_task
+from subplan.heuristics import TrainableModel, UntrainedHeuristics
 from subplan.oracle import ExactHeuristics, StochasticTestPolicy, exact_value_table
 from subplan.planner import (
+    MODES,
     PlannerConfig,
     PlanningContext,
     _TieBreaker,
@@ -537,6 +542,138 @@ class TestExtraction:
 
 
 # ---------------------------------------------------------------------------
+# extraction against its loop form
+
+
+def reference_extract(ctx, tree, key, d):
+    """Extraction as a loop over keys x candidates x levels: per-key dicts of
+    level values, candidates in row-major order, strict > against v_pi.
+    Returns the solution node and the level dicts."""
+    seq = ctx.config.mode == "sequential_right"
+    vpi = ctx.vpi_key
+    left_anchor, right_anchor = {}, {}
+    for k in tree.or_nodes:
+        left_anchor.setdefault(k.s, set()).add(k.s2)
+        right_anchor.setdefault(k.s2, set()).add(k.s)
+    cands = {}
+    for k in tree.or_nodes:
+        pool = set(right_anchor.get(k.s2, ()))
+        if not seq:
+            pool |= left_anchor.get(k.s, set())
+        cands[k] = sorted(x for x in pool if x != k.s and x != k.s2)
+
+    def child(level, k):
+        return level[k] if k in level else vpi(k)
+
+    def split(level, k, x):
+        left = vpi(OrKey(k.s, x)) if seq else child(level, OrKey(k.s, x))
+        return left * child(level, OrKey(x, k.s2))
+
+    def best(level, k):
+        value, mid = vpi(k), None
+        for x in cands[k]:
+            score = split(level, k, x)
+            if score > value:
+                value, mid = score, x
+        return value, mid
+
+    levels = [{k: vpi(k) for k in tree.or_nodes}]
+    for _ in range(tree.max_depth):
+        levels.append({k: best(levels[-1], k)[0] for k in tree.or_nodes})
+
+    def node(k, d):
+        mid = best(levels[d - 1], k)[1] if d > 0 and k in tree.or_nodes else None
+        if mid is None:
+            return planner_mod.SolutionNode(key=k, G=vpi(k), terminal=True)
+        if seq:
+            left = planner_mod.SolutionNode(key=OrKey(k.s, mid), G=vpi(OrKey(k.s, mid)), terminal=True)
+        else:
+            left = node(OrKey(k.s, mid), d - 1)
+        right = node(OrKey(mid, k.s2), d - 1)
+        return planner_mod.SolutionNode(key=k, G=left.G * right.G, terminal=False,
+                                        chosen=mid, left=left, right=right)
+
+    return node(key, d), levels
+
+
+def seeded_model(seed: int) -> TrainableModel:
+    """A TrainableModel whose output heads are seeded too, so values and
+    priors vary across cells."""
+    model = TrainableModel(hidden=8, seed=seed)
+    rng = np.random.default_rng(seed)
+    for name in ("value_w2", "prior_w2"):
+        model.params[name] = rng.normal(0.0, 2.0, model.params[name].shape)
+    return model
+
+
+def assert_levels_match(ctx, tree, want_levels):
+    got_levels = planner_mod._Extractor(ctx, tree).levels
+    for got, level in zip(got_levels, want_levels, strict=True):
+        for k, v in level.items():
+            assert got[ctx.kidx(k)] == v
+
+
+class TestExtractionMatchesLoopForm:
+    @given(
+        size=st.tuples(st.integers(5, 9), st.integers(5, 9)),
+        density=st.floats(0.0, 1.0),
+        maze_seed=st.integers(0, 10_000),
+        mode=st.sampled_from(MODES),
+        budget=st.integers(1, 120),
+        model_seed=st.none() | st.integers(0, 100),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_searches(self, size, density, maze_seed, mode, budget, model_seed):
+        maze = generate_maze(size[0], size[1], density, maze_seed)
+        task = sample_task(maze, maze_seed)
+        heur = UntrainedHeuristics() if model_seed is None else seeded_model(model_seed)
+        res = run_search(task, heur, PlannerConfig(budget=budget, mode=mode, seed=maze_seed))
+        ctx, tree = res.tree.context, res.tree
+        want, want_levels = reference_extract(ctx, tree, tree.root, tree.max_depth)
+        # SolutionNode equality compares keys, G and chosen mids exactly
+        assert res.solution_tree.root == want
+        assert extract_plan(tree, tree.root) == (res.plan.sigma, want.G)
+        assert_levels_match(ctx, tree, want_levels)
+        assert res.plan.objective_L == plan_objective(task, res.plan.sigma)
+
+    @given(
+        n=st.integers(3, 7),
+        mode=st.sampled_from(MODES),
+        max_depth=st.integers(1, 4),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_any_key_set(self, n, mode, max_depth, data):
+        # trees no search would grow (in sequential mode, keys off the goal
+        # column), over few distinct values so that ties are common
+        pairs = [(cell(0, a), cell(0, b)) for a in range(n) for b in range(n) if a != b]
+        grades = data.draw(st.lists(st.sampled_from([0.0, 0.3, 0.5, 0.6, 1.0]),
+                                    min_size=len(pairs), max_size=len(pairs)))
+        tree, ctx, task = graded_row_setup(dict(zip(pairs, grades)), n, mode=mode,
+                                           max_depth=max_depth)
+        in_tree = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        expand(tree, ctx, tree.root)
+        for key, keep in zip(pairs, in_tree):
+            if keep and OrKey(*key) != tree.root:
+                expand(tree, ctx, OrKey(*key))
+        want, want_levels = reference_extract(ctx, tree, tree.root, max_depth)
+        assert planner_mod._extract(ctx, tree, tree.root, 0) == want
+        assert_levels_match(ctx, tree, want_levels)
+
+    def test_extraction_leaves_no_cyclic_garbage(self):
+        maze = generate_maze(9, 9, 0.75, 3)
+        res = run_search(sample_task(maze, 3), UntrainedHeuristics(), PlannerConfig(budget=80))
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(5):
+                extract_plan(res.tree, res.tree.root)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+# ---------------------------------------------------------------------------
 # run_search end to end
 
 
@@ -659,6 +796,18 @@ class TestSequential:
         r_seq = run_search_sequential(task, ExactHeuristics(table), cfg)
         assert r_seq.plan.objective_L == pytest.approx(r_dc.plan.objective_L, abs=1e-9)
         assert r_seq.plan.objective_L == pytest.approx(1.0, abs=1e-9)
+
+    def test_extraction_left_factor_is_direct_segment(self):
+        # (a,c) is in the tree and realizes 1.0 through b, but a sequential
+        # plan executes (a,c) directly: splitting at c is worth 0.5 < 0.6
+        a, b, c, d = (cell(0, k) for k in range(4))
+        values = {(a, b): 1.0, (b, c): 1.0, (c, d): 1.0, (a, c): 0.5, (a, d): 0.6}
+        tree, ctx, task = graded_row_setup(values, 4, mode="sequential_right")
+        for key in [(a, d), (c, d), (a, c), (b, c)]:
+            expand(tree, ctx, OrKey(*key))
+        sigma, g = extract_plan(tree, tree.root)
+        assert sigma == (a, d)
+        assert g == 0.6
 
 
 # ---------------------------------------------------------------------------
