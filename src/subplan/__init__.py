@@ -1,181 +1,36 @@
-"""Divide-and-conquer Monte Carlo tree search over sub-goals in mazes."""
+"""Divide-and-conquer Monte Carlo tree search over sub-goals in mazes.
 
-from subplan.gridworld import (
-    Maze,
-    Pi0,
-    StateId,
-    Task,
-    Trajectory,
-    bfs_distances,
-    decode_task,
-    default_step_limit,
-    encode_task,
-    execute_plan,
-    generate_maze,
-    low_level_step_pi0,
-    low_level_value_pi0,
-    parse_maze,
-    sample_task,
-    serialize_maze,
-)
+The package root exports what a script needs to generate mazes, plan,
+train and evaluate; everything else is imported from its module.
+"""
+
+from subplan.gridworld import execute_plan, generate_maze, sample_task, serialize_maze
 from subplan.harness import (
-    EvalSummary,
     ExperimentConfig,
     budget_sweep_table,
     evaluate,
-    learning_curve_table,
-    load_config_file,
-    parse_config_text,
-    parse_metrics_text,
     plan_report,
     render_plan,
     run_training,
-    serialize_config,
-    serialize_summary,
-    sweep_table,
-    validate_artifact,
-    wilson_interval,
 )
-from subplan.heuristics import (
-    EnvConfig,
-    ReplayBuffer,
-    TrainableModel,
-    TrainConfig,
-    TrainingRun,
-    UntrainedHeuristics,
-    load_checkpoint,
-    load_replay,
-    parse_trajectory,
-    save_checkpoint,
-    save_replay,
-    train_step,
-    training_loop,
-    uniform_prior,
-    zero_value,
-)
-from subplan.oracle import (
-    ExactHeuristics,
-    StochasticTestPolicy,
-    ValueTable,
-    exact_plan_success,
-    exact_policy_value,
-    exact_value_table,
-    monte_carlo_success,
-    optimal_plan,
-)
-from subplan.planner import (
-    DESCEND_MODES,
-    MODES,
-    Plan,
-    PlannerConfig,
-    PlanResult,
-    SolutionTree,
-    descend_one,
-    extract_plan,
-    plan_objective,
-    plan_result_json,
-    run_search,
-    run_search_sequential,
-    select_child,
-    selection_scores,
-    traverse,
-)
-from subplan.tree import (
-    AndKey,
-    AndNode,
-    BudgetExhausted,
-    OrKey,
-    OrNode,
-    SearchTree,
-    candidate_subgoals,
-    dump_tree,
-    expand_node,
-    load_tree_dump,
-    touch_and_node,
-    update_or_stats,
-)
+from subplan.heuristics import EnvConfig, UntrainedHeuristics, load_checkpoint
+from subplan.planner import MODES, PlannerConfig, run_search
 
 __all__ = [
-    "AndKey",
-    "AndNode",
-    "BudgetExhausted",
-    "DESCEND_MODES",
     "EnvConfig",
-    "EvalSummary",
-    "ExactHeuristics",
     "ExperimentConfig",
     "MODES",
-    "Maze",
-    "OrKey",
-    "OrNode",
-    "Pi0",
-    "Plan",
-    "PlanResult",
     "PlannerConfig",
-    "ReplayBuffer",
-    "SearchTree",
-    "SolutionTree",
-    "StateId",
-    "StochasticTestPolicy",
-    "Task",
-    "TrainConfig",
-    "TrainableModel",
-    "TrainingRun",
-    "Trajectory",
     "UntrainedHeuristics",
-    "ValueTable",
-    "bfs_distances",
     "budget_sweep_table",
-    "candidate_subgoals",
-    "decode_task",
-    "default_step_limit",
-    "descend_one",
-    "dump_tree",
-    "encode_task",
     "evaluate",
-    "exact_plan_success",
-    "exact_policy_value",
-    "exact_value_table",
     "execute_plan",
-    "expand_node",
-    "extract_plan",
     "generate_maze",
-    "learning_curve_table",
     "load_checkpoint",
-    "load_config_file",
-    "load_replay",
-    "load_tree_dump",
-    "low_level_step_pi0",
-    "low_level_value_pi0",
-    "monte_carlo_success",
-    "optimal_plan",
-    "parse_config_text",
-    "parse_maze",
-    "parse_metrics_text",
-    "parse_trajectory",
-    "plan_objective",
     "plan_report",
-    "plan_result_json",
     "render_plan",
     "run_search",
-    "run_search_sequential",
     "run_training",
     "sample_task",
-    "save_checkpoint",
-    "save_replay",
-    "select_child",
-    "selection_scores",
-    "serialize_config",
     "serialize_maze",
-    "serialize_summary",
-    "sweep_table",
-    "touch_and_node",
-    "train_step",
-    "training_loop",
-    "traverse",
-    "uniform_prior",
-    "update_or_stats",
-    "validate_artifact",
-    "wilson_interval",
-    "zero_value",
 ]

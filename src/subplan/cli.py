@@ -18,7 +18,9 @@ from .gridworld import (
     StateId,
     Task,
     bfs_distances,
+    format_cell,
     generate_maze,
+    parse_cell,
     parse_maze,
     sample_task,
     serialize_maze,
@@ -44,8 +46,7 @@ def _positive_int(text: str) -> int:
 
 def _cell(text: str) -> StateId:
     try:
-        r, c = text.split(",")
-        return StateId(int(r), int(c))
+        return parse_cell(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected 'row,col', got {text!r}") from exc
 
@@ -85,8 +86,6 @@ def _add_planner_flags(p: argparse.ArgumentParser, budget_default: int = 100):
                    help="planner mode (dc, sequential, or a descend variant)")
     p.add_argument("--c-puct", type=float, default=5.0)
     p.add_argument("--max-depth", type=_positive_int, default=8)
-    p.add_argument("--parallel-and", action="store_true",
-                   help="traverse AND children in two threads")
 
 
 def _add_env_flags(p: argparse.ArgumentParser):
@@ -129,18 +128,18 @@ def cmd_plan(args) -> int:
         return 2
     for name, s in (("start", start), ("goal", goal)):
         if not (0 <= s.row < maze.height and 0 <= s.col < maze.width) or maze.cells[s.row, s.col]:
-            print(f"error: {name} {s.row},{s.col} is not an empty cell",
+            print(f"error: {name} {format_cell(s)} is not an empty cell",
                   file=sys.stderr)
             return 2
     if goal not in bfs_distances(maze, start):
-        print(f"error: goal {goal.row},{goal.col} is unreachable from start "
-              f"{start.row},{start.col}", file=sys.stderr)
+        print(f"error: goal {format_cell(goal)} is unreachable from start "
+              f"{format_cell(start)}", file=sys.stderr)
         return 2
     task = Task(maze, start, goal)
     heuristics, _ = _load_heuristics(args)
     config = PlannerConfig(budget=args.budget, max_depth=args.max_depth,
                            c_puct=args.c_puct, mode=args.mode,
-                           seed=args.seed, parallel_and=args.parallel_and)
+                           seed=args.seed)
     result = run_search(task, heuristics, config)
     print(harness.plan_report(result, config, maze, task, render=args.render),
           end="")
@@ -163,10 +162,9 @@ def cmd_eval(args) -> int:
     heuristics, label = _load_heuristics(args)
     env = _env_from_flags(args)
     config = PlannerConfig(budget=args.budget, max_depth=args.max_depth,
-                           c_puct=args.c_puct, mode=args.mode,
-                           parallel_and=args.parallel_and)
+                           c_puct=args.c_puct, mode=args.mode)
     summary = harness.evaluate(heuristics, env, config, args.tasks,
-                               args.seed, label=label, workers=args.workers)
+                               args.seed, label=label)
     text = harness.serialize_summary(summary)
     print(text, end="")
     if args.out:
@@ -180,8 +178,7 @@ def cmd_compare(args) -> int:
         env = _env_from_flags(args)
         text = harness.budget_sweep_table(
             heuristics, label, env, args.budgets, args.modes, args.tasks,
-            args.seed, c_puct=args.c_puct, max_depth=args.max_depth,
-            workers=args.workers)
+            args.seed, c_puct=args.c_puct, max_depth=args.max_depth)
     else:
         if len(args.runs) < 2:
             print("error: need two or more run directories (or --budgets)",
@@ -199,7 +196,7 @@ def cmd_sweep(args) -> int:
     env = _env_from_flags(args)
     text = harness.sweep_table(heuristics, label, env, args.c_pucts,
                                args.budget, args.mode, args.tasks, args.seed,
-                               max_depth=args.max_depth, workers=args.workers)
+                               max_depth=args.max_depth)
     print(text, end="")
     if args.out:
         Path(args.out).write_text(text)
@@ -260,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--untrained", action="store_true")
     p.add_argument("--tasks", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--out", default=None)
     _add_env_flags(p)
     _add_planner_flags(p, budget_default=200)
@@ -280,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use untrained heuristics (the default)")
     p.add_argument("--tasks", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--out", default=None)
     _add_env_flags(p)
     p.add_argument("--c-puct", type=float, default=5.0)
@@ -296,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use untrained heuristics (the default)")
     p.add_argument("--tasks", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--out", default=None)
     _add_env_flags(p)
     p.add_argument("--max-depth", type=_positive_int, default=8)

@@ -103,6 +103,24 @@ class Trajectory:
     steps: int
 
 
+def derive_seed(seed: int, *key: int) -> int:
+    """A 64-bit seed for the stream (seed, key...), independent of every
+    other key."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+def format_cell(s: StateId) -> str:
+    """Text form `row,col` of a cell."""
+    return f"{s.row},{s.col}"
+
+
+def parse_cell(text: str) -> StateId:
+    """Inverse of format_cell; raises ValueError on anything else."""
+    r, c = text.split(",")
+    return StateId(int(r), int(c))
+
+
 def adjacent(s: StateId, t: StateId) -> bool:
     return abs(s.row - t.row) + abs(s.col - t.col) == 1
 
@@ -166,23 +184,22 @@ def generate_maze(width: int, height: int, density: float, seed: int) -> Maze:
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     cells = np.full((height, width), WALL, dtype=np.uint8)
     _carve_perfect(cells, width, height, rng)
-    maze = Maze(width, height, cells, density, seed)
 
-    w1 = perfect_wall_count(width, height)
-    target = int(round(density * w1))
+    target = int(round(density * perfect_wall_count(width, height)))
     interior = _interior_mask(width, height)
-    while int(np.sum((cells == WALL) & interior)) > target:
-        walls = np.argwhere((cells == WALL) & interior)
-        eligible = []
-        for r, c in walls:
-            s = StateId(int(r), int(c))
-            if any(maze.is_empty(StateId(s.row + dr, s.col + dc)) for dr, dc in DIRS):
-                eligible.append(s)
-        # A wall bordering the empty region always exists while interior
-        # walls remain, so knocking one down preserves connectivity.
-        pick = eligible[int(rng.integers(len(eligible)))]
-        cells[pick.row, pick.col] = EMPTY
+    walls_left = int(np.sum((cells == WALL) & interior))
+    while walls_left > target:
+        # Interior walls with an empty 4-neighbor, in row-major order.  One
+        # always exists while interior walls remain, so knocking one down
+        # preserves connectivity.
+        e = np.pad(cells == EMPTY, 1)
+        near = e[:-2, 1:-1] | e[2:, 1:-1] | e[1:-1, :-2] | e[1:-1, 2:]
+        eligible = np.argwhere((cells == WALL) & interior & near)
+        r, c = eligible[int(rng.integers(len(eligible)))]
+        cells[r, c] = EMPTY
+        walls_left -= 1
 
+    maze = Maze(width, height, cells, density, seed)
     if len(maze.empty_cells) < 2:
         raise ValueError("maze too small to host two distinct empty cells")
     return maze
@@ -299,6 +316,23 @@ class Pi0:
             return [(s, 1.0)]
         p = 1.0 / len(options)
         return [(t, p) for t in options]
+
+
+def low_level_matrix(maze: Maze, low_level) -> np.ndarray:
+    """All-pairs low-level values over empty cells in row-major order.
+
+    low_level may be a policy with a value_matrix method, a policy with a
+    value method, or a callable (maze, s, s') -> probability.
+    """
+    if hasattr(low_level, "value_matrix"):
+        return np.asarray(low_level.value_matrix(maze), dtype=float)
+    fn = low_level.value if hasattr(low_level, "value") else low_level
+    cells = maze.empty_cells
+    out = np.empty((len(cells), len(cells)))
+    for i, a in enumerate(cells):
+        for j, b in enumerate(cells):
+            out[i, j] = fn(maze, a, b)
+    return out
 
 
 def execute_plan(

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -23,7 +22,9 @@ from .gridworld import (
     StateId,
     Task,
     default_step_limit,
+    derive_seed,
     execute_plan,
+    format_cell,
     generate_maze,
     parse_maze,
     sample_task,
@@ -77,7 +78,6 @@ class ExperimentConfig:
     c_puct: float = 5.0
     max_depth: int = 8
     mode: str = "divide_and_conquer"
-    parallel_and: bool = False
     episodes: int = 1000
     parser: str = "temporally_balanced"
     batch_size: int = 128
@@ -108,7 +108,7 @@ class ExperimentConfig:
     def planner_config(self) -> PlannerConfig:
         return PlannerConfig(budget=self.budget, max_depth=self.max_depth,
                              c_puct=self.c_puct, mode=self.mode,
-                             seed=self.seed, parallel_and=self.parallel_and)
+                             seed=self.seed)
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(episodes=self.episodes, parser=self.parser,
@@ -122,7 +122,7 @@ class ExperimentConfig:
 _INT_FIELDS = {"width", "height", "budget", "max_depth", "episodes",
                "batch_size", "capacity", "hidden", "eval_every", "seed"}
 _FLOAT_FIELDS = {"density", "c_puct", "learning_rate", "temperature"}
-_BOOL_FIELDS = {"parallel_and", "mc_value_targets"}
+_BOOL_FIELDS = {"mc_value_targets"}
 _OPT_INT_FIELDS = {"step_limit"}
 
 _TRUE = {"true", "1", "yes", "on"}
@@ -255,10 +255,6 @@ def parse_metrics_text(text: str) -> list[dict]:
 # plan rendering and reports
 
 
-def _fmt_cell(s: StateId) -> str:
-    return f"{s.row},{s.col}"
-
-
 def render_plan(maze: Maze, task: Task, result: PlanResult) -> str:
     """Character grid of the maze with the plan's sub-goals numbered in plan
     order.  A cell revisited by the plan shows the occurrence introduced at
@@ -304,14 +300,14 @@ def plan_report(result: PlanResult, config: PlannerConfig,
     lines = [
         "plan v1",
         f"mode = {config.mode}",
-        f"start = {_fmt_cell(task.start)}",
-        f"goal = {_fmt_cell(task.goal)}",
+        f"start = {format_cell(task.start)}",
+        f"goal = {format_cell(task.goal)}",
         f"budget = {config.budget}",
         f"budget_used = {result.budget_used}",
         f"L = {result.plan.objective_L!r}",
         f"G = {result.returns[0][1]!r}",
         f"plan_length = {len(result.plan.sigma)}",
-        "plan = " + " ".join(_fmt_cell(s) for s in result.plan.sigma),
+        "plan = " + " ".join(format_cell(s) for s in result.plan.sigma),
         f"or_nodes = {stats['or_nodes']}",
         f"and_nodes = {stats['and_nodes']}",
         f"traversals = {stats['traversals']}",
@@ -336,11 +332,6 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _stream_int(seed: int, *key: int) -> int:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
 def eval_task(env: EnvConfig, seed: int, index: int) -> Task:
     """The index-th task of the evaluation stream for this seed.
 
@@ -348,8 +339,8 @@ def eval_task(env: EnvConfig, seed: int, index: int) -> Task:
     the board, so the reported fractions measure planning rather than
     adjacent-pair luck."""
     maze = generate_maze(env.width, env.height, env.density,
-                         seed=_stream_int(seed, EVAL_STREAM_DOMAIN, index, 0))
-    return sample_task(maze, seed=_stream_int(seed, EVAL_STREAM_DOMAIN, index, 1),
+                         seed=derive_seed(seed, EVAL_STREAM_DOMAIN, index, 0))
+    return sample_task(maze, seed=derive_seed(seed, EVAL_STREAM_DOMAIN, index, 1),
                        min_dist=(env.width + env.height) // 4)
 
 
@@ -371,30 +362,22 @@ class EvalSummary:
 
 
 def evaluate(heuristics, env: EnvConfig, planner_config: PlannerConfig,
-             tasks: int, seed: int, label: str = "untrained",
-             workers: int = 1) -> EvalSummary:
+             tasks: int, seed: int, label: str = "untrained") -> EvalSummary:
     """Solve fraction over freshly sampled tasks, one plan execution each."""
     if tasks <= 0:
         raise ValueError("tasks must be positive")
-
-    def one(index: int) -> bool:
+    solved = 0
+    for index in range(tasks):
         task = eval_task(env, seed, index)
         cfg = replace(planner_config,
-                      seed=_stream_int(seed, EVAL_STREAM_DOMAIN, index, 3))
+                      seed=derive_seed(seed, EVAL_STREAM_DOMAIN, index, 3))
         result = run_search(task, heuristics, cfg)
         limit = env.step_limit
         if limit is None:
             limit = default_step_limit(task)
-        rng = np.random.default_rng(_stream_int(seed, EVAL_STREAM_DOMAIN, index, 2))
+        rng = np.random.default_rng(derive_seed(seed, EVAL_STREAM_DOMAIN, index, 2))
         traj = execute_plan(rng, task, result.plan.sigma, step_limit=limit)
-        return bool(traj.reached_goal)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one, range(tasks)))
-    else:
-        outcomes = [one(i) for i in range(tasks)]
-    solved = int(sum(outcomes))
+        solved += traj.reached_goal
     low, high = wilson_interval(solved, tasks)
     return EvalSummary(mode=planner_config.mode, width=env.width,
                        height=env.height, density=env.density,
@@ -547,7 +530,7 @@ def learning_curve_table(run_dirs: Sequence[str | Path], window: int) -> str:
 def budget_sweep_table(heuristics, label: str, env: EnvConfig,
                        budgets: Sequence[int], modes: Sequence[str],
                        tasks: int, seed: int, c_puct: float = 5.0,
-                       max_depth: int = 8, workers: int = 1) -> str:
+                       max_depth: int = 8) -> str:
     """Solve fraction per (budget, mode) on one shared evaluation task set."""
     if not budgets or not modes:
         raise ValueError("need at least one budget and one mode")
@@ -563,8 +546,7 @@ def budget_sweep_table(heuristics, label: str, env: EnvConfig,
         for mode in canon:
             cfg = PlannerConfig(budget=budget, max_depth=max_depth,
                                 c_puct=c_puct, mode=mode)
-            s = evaluate(heuristics, env, cfg, tasks, seed,
-                         label=label, workers=workers)
+            s = evaluate(heuristics, env, cfg, tasks, seed, label=label)
             row += [_float_cell(s.fraction), _float_cell(s.ci_low),
                     _float_cell(s.ci_high)]
         lines.append("\t".join(row))
@@ -573,8 +555,7 @@ def budget_sweep_table(heuristics, label: str, env: EnvConfig,
 
 def sweep_table(heuristics, label: str, env: EnvConfig,
                 c_pucts: Sequence[float], budget: int, mode: str,
-                tasks: int, seed: int, max_depth: int = 8,
-                workers: int = 1) -> str:
+                tasks: int, seed: int, max_depth: int = 8) -> str:
     """Solve fraction per exploration constant on one shared task set."""
     if not c_pucts:
         raise ValueError("need at least one c_puct sample")
@@ -585,8 +566,7 @@ def sweep_table(heuristics, label: str, env: EnvConfig,
     for c in c_pucts:
         cfg = PlannerConfig(budget=budget, max_depth=max_depth,
                             c_puct=float(c), mode=canonical_mode(mode))
-        s = evaluate(heuristics, env, cfg, tasks, seed,
-                     label=label, workers=workers)
+        s = evaluate(heuristics, env, cfg, tasks, seed, label=label)
         lines.append("\t".join([_float_cell(c), _float_cell(s.fraction),
                                 _float_cell(s.ci_low), _float_cell(s.ci_high)]))
     return "\n".join(lines) + "\n"

@@ -12,21 +12,27 @@ finite-difference tests have no framework in the way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from subplan.gridworld import (
+    EMPTY,
+    GOAL,
+    START,
     WALL,
     Maze,
     StateId,
     Task,
     adjacent,
     default_step_limit,
+    derive_seed,
     encode_task,
     execute_plan,
+    format_cell,
     generate_maze,
+    parse_cell,
     sample_task,
 )
 from subplan.planner import (
@@ -35,7 +41,7 @@ from subplan.planner import (
     PlanResult,
     run_search,
 )
-from subplan.tree import OrKey, SearchTree, SubGoal, candidate_subgoals
+from subplan.tree import OrKey, SearchTree, SubGoal, format_subgoal, parse_subgoal
 
 PARSER_KINDS = ("left_first", "right_first", "temporally_balanced", "weight_balanced")
 OPTIMIZERS = ("sgd", "adam")
@@ -43,17 +49,6 @@ OPTIMIZERS = ("sgd", "adam")
 
 # ---------------------------------------------------------------------------
 # fixed baselines
-
-
-def uniform_prior(task: Task, key: OrKey) -> np.ndarray:
-    """Uniform distribution over candidate sub-goals including ∅."""
-    cands = candidate_subgoals(task, key)
-    return np.full(len(cands), 1.0 / len(cands))
-
-
-def zero_value(task: Task, key: OrKey) -> float:
-    """The untrained value head: always 0, so node init falls back to v_pi."""
-    return 0.0
 
 
 class UntrainedHeuristics:
@@ -380,11 +375,6 @@ def prior_targets_from_tree(tree: SearchTree, key: OrKey) -> np.ndarray | None:
 # training step
 
 
-def _empty_cells_of(cells: np.ndarray) -> list[StateId]:
-    rows, cols = np.nonzero(cells != WALL)
-    return [StateId(int(r), int(c)) for r, c in zip(rows, cols)]
-
-
 def train_step(model: TrainableModel, batch: dict) -> tuple[float, float]:
     """One gradient step on summed cross-entropy losses; returns the mean
     prior and value losses of the batch."""
@@ -399,7 +389,7 @@ def train_step(model: TrainableModel, batch: dict) -> tuple[float, float]:
         X = np.concatenate(
             [
                 value_features(
-                    _walls_from_encoding(e.encoding),
+                    _maze_from_encoding(e.encoding).cells,
                     np.array([[e.key.s.row, e.key.s.col, e.key.s2.row, e.key.s2.col]]),
                 )
                 for e in value_entries
@@ -417,11 +407,11 @@ def train_step(model: TrainableModel, batch: dict) -> tuple[float, float]:
     if prior_entries:
         feats = []
         for e in prior_entries:
-            cells = _walls_from_encoding(e.encoding)
-            cands = [None, *_empty_cells_of(cells)]
+            maze = _maze_from_encoding(e.encoding)
+            cands = [None, *maze.empty_cells]
             if len(cands) != len(e.target):
                 raise ValueError("prior target length does not match candidates")
-            feats.append(prior_features(cells, e.s, e.s2, cands))
+            feats.append(prior_features(maze.cells, e.s, e.s2, cands))
         X = np.concatenate(feats)
         z, A = model._head_forward("prior", X)
         dz = np.empty_like(z)
@@ -448,8 +438,11 @@ def train_step(model: TrainableModel, batch: dict) -> tuple[float, float]:
     return prior_loss, value_loss
 
 
-def _walls_from_encoding(encoding: np.ndarray) -> np.ndarray:
-    return np.where(np.asarray(encoding) == WALL, WALL, 0).astype(np.uint8)
+def _maze_from_encoding(encoding: np.ndarray) -> Maze:
+    """The walls of a task encoding as a maze (start and goal become empty)."""
+    cells = np.where(np.asarray(encoding) == WALL, WALL, EMPTY).astype(np.uint8)
+    height, width = cells.shape
+    return Maze(width, height, cells, density=0.0, seed=-1)
 
 
 def _head_backward(model, grads, head, X, A, dz) -> None:
@@ -590,7 +583,22 @@ def _encode_compact(encoding: np.ndarray) -> str:
 def _decode_compact(text: str, height: int, width: int) -> np.ndarray:
     if len(text) != height * width:
         raise ValueError("bad encoding length")
-    return np.array([int(ch) for ch in text], dtype=np.uint8).reshape(height, width)
+    enc = np.array([int(ch) for ch in text], dtype=np.uint8).reshape(height, width)
+    if not np.isin(enc, (EMPTY, WALL, START, GOAL)).all():
+        raise ValueError(f"bad encoding labels in {text!r}")
+    return enc
+
+
+def _check_cells(enc: np.ndarray, cells: Sequence[SubGoal]) -> None:
+    """Every cell of an entry must be a non-wall cell of its encoding."""
+    height, width = enc.shape
+    for s in cells:
+        if s is None:
+            continue
+        if not (0 <= s.row < height and 0 <= s.col < width):
+            raise ValueError(f"replay cell {format_cell(s)} outside the {height}x{width} encoding")
+        if enc[s.row, s.col] == WALL:
+            raise ValueError(f"replay cell {format_cell(s)} is a wall")
 
 
 def save_replay(buffer: ReplayBuffer) -> str:
@@ -599,30 +607,25 @@ def save_replay(buffer: ReplayBuffer) -> str:
     for e in buffer.value_entries:
         h, w = e.encoding.shape
         lines.append(
-            "value "
-            f"{e.key.s.row},{e.key.s.col} {e.key.s2.row},{e.key.s2.col} "
+            f"value {format_cell(e.key.s)} {format_cell(e.key.s2)} "
             f"{repr(float(e.target))} {h} {w} {_encode_compact(e.encoding)}"
         )
     for e in buffer.prior_entries:
         h, w = e.encoding.shape
-        mid = "∅" if e.mid is None else f"{e.mid.row},{e.mid.col}"
         target = " ".join(repr(float(x)) for x in e.target)
         lines.append(
-            "prior "
-            f"{e.s.row},{e.s.col} {mid} {e.s2.row},{e.s2.col} "
+            f"prior {format_cell(e.s)} {format_subgoal(e.mid)} {format_cell(e.s2)} "
             f"{h} {w} {_encode_compact(e.encoding)} {target}"
         )
     return "\n".join(lines) + "\n"
 
 
-def _parse_cell(text: str) -> StateId:
-    r, c = text.split(",")
-    return StateId(int(r), int(c))
-
-
 def load_replay(text: str) -> ReplayBuffer:
     """Inverse of save_replay.  Entries pass the same checks as add_value and
-    add_prior, and a snapshot may not hold more entries than its capacity."""
+    add_prior, and a snapshot may not hold more entries than its capacity.
+    Encodings hold only empty, wall, start and goal labels, every cell of an
+    entry is a non-wall cell of its encoding, and a prior target has one
+    weight per candidate (∅ and each non-wall cell)."""
     lines = text.splitlines()
     if not lines or lines[0] != "replay v1":
         raise ValueError("bad replay header")
@@ -645,21 +648,25 @@ def load_replay(text: str) -> ReplayBuffer:
         elif parts[0] == "value":
             if len(buffer.value_entries) >= buffer.capacity:
                 raise ValueError("replay snapshot holds more value entries than its capacity")
-            s = _parse_cell(parts[1])
-            s2 = _parse_cell(parts[2])
+            s = parse_cell(parts[1])
+            s2 = parse_cell(parts[2])
             target = float(parts[3])
             h, w = int(parts[4]), int(parts[5])
             enc = _decode_compact(parts[6], h, w)
+            _check_cells(enc, (s, s2))
             buffer.add_value(ValueEntry(enc, OrKey(s, s2), target))
         else:
             if len(buffer.prior_entries) >= buffer.capacity:
                 raise ValueError("replay snapshot holds more prior entries than its capacity")
-            s = _parse_cell(parts[1])
-            mid = None if parts[2] == "∅" else _parse_cell(parts[2])
-            s2 = _parse_cell(parts[3])
+            s = parse_cell(parts[1])
+            mid = parse_subgoal(parts[2])
+            s2 = parse_cell(parts[3])
             h, w = int(parts[4]), int(parts[5])
             enc = _decode_compact(parts[6], h, w)
+            _check_cells(enc, (s, mid, s2))
             target = np.array([float(x) for x in parts[7:]])
+            if len(target) != 1 + int(np.sum(enc != WALL)):
+                raise ValueError(f"prior target has {len(target)} weights, expected one per candidate")
             buffer.add_prior(PriorEntry(enc, s, mid, s2, target))
     if buffer is None:
         raise ValueError("replay snapshot missing capacity")
@@ -717,11 +724,6 @@ class TrainingRun(NamedTuple):
     buffer: ReplayBuffer
 
 
-def _derive_int(seed: int, *key: int) -> int:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
 def training_loop(
     env_config: EnvConfig,
     planner_config: PlannerConfig,
@@ -744,7 +746,7 @@ def training_loop(
             temperature=train_config.temperature,
             learning_rate=train_config.learning_rate,
             optimizer=train_config.optimizer,
-            seed=_derive_int(seed, 4),
+            seed=derive_seed(seed, 4),
         )
     if buffer is None:
         buffer = ReplayBuffer(capacity=train_config.capacity)
@@ -755,17 +757,10 @@ def training_loop(
             env_config.width,
             env_config.height,
             env_config.density,
-            seed=_derive_int(seed, 0, episode),
+            seed=derive_seed(seed, 0, episode),
         )
-        task = sample_task(maze, seed=_derive_int(seed, 1, episode))
-        cfg = PlannerConfig(
-            budget=planner_config.budget,
-            max_depth=planner_config.max_depth,
-            c_puct=planner_config.c_puct,
-            mode=planner_config.mode,
-            seed=_derive_int(seed, 5, episode),
-            parallel_and=planner_config.parallel_and,
-        )
+        task = sample_task(maze, seed=derive_seed(seed, 1, episode))
+        cfg = replace(planner_config, seed=derive_seed(seed, 5, episode))
         result = run_search(task, model, cfg)
         encoding = encode_task(task)
 

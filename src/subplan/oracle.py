@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.csgraph import csgraph_from_dense, floyd_warshall
 
-from subplan.gridworld import Maze, StateId, Task, bfs_distances, execute_plan
+from subplan.gridworld import Maze, StateId, Task, bfs_distances, execute_plan, low_level_matrix
 from subplan.planner import Plan
 
 MAX_ORACLE_CELLS = 400
@@ -43,19 +43,6 @@ class ValueTable:
         return "\n".join(lines) + "\n"
 
 
-def _as_value_matrix(maze: Maze, low_level_value) -> np.ndarray:
-    if hasattr(low_level_value, "value_matrix"):
-        return np.asarray(low_level_value.value_matrix(maze), dtype=float)
-    fn = low_level_value.value if hasattr(low_level_value, "value") else low_level_value
-    cells = maze.empty_cells
-    n = len(cells)
-    out = np.empty((n, n))
-    for i, a in enumerate(cells):
-        for j, b in enumerate(cells):
-            out[i, j] = fn(maze, a, b)
-    return out
-
-
 def _guard_size(maze: Maze) -> None:
     if len(maze.empty_cells) > MAX_ORACLE_CELLS:
         raise ValueError(
@@ -72,7 +59,7 @@ def exact_value_table(task: Task, low_level_value) -> ValueTable:
     """
     maze = task.maze
     _guard_size(maze)
-    w = _as_value_matrix(maze, low_level_value)
+    w = low_level_matrix(maze, low_level_value)
     with np.errstate(divide="ignore"):
         dist = -np.log(w)  # w = 0 becomes inf, the no-edge sentinel
     graph = csgraph_from_dense(dist, null_value=np.inf)
@@ -143,9 +130,6 @@ def exact_policy_value(
     return float(_absorption_vector(maze, policy, subgoal, h)[maze.empty_index[s]])
 
 
-_bfs_distances = bfs_distances
-
-
 class StochasticTestPolicy:
     """With probability 1-epsilon step along a shortest path to the
     sub-goal (first minimizer in the fixed neighbor order), otherwise step
@@ -170,7 +154,7 @@ class StochasticTestPolicy:
     def _dist_to(self, maze: Maze, subgoal: StateId) -> dict[StateId, int]:
         per_maze = self._bfs_cache.setdefault(maze, {})
         if subgoal not in per_maze:
-            per_maze[subgoal] = _bfs_distances(maze, subgoal)
+            per_maze[subgoal] = bfs_distances(maze, subgoal)
         return per_maze[subgoal]
 
     def _toward(self, maze: Maze, s: StateId, subgoal: StateId) -> StateId:

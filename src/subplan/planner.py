@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from subplan.gridworld import LowLevelPolicy, Pi0, StateId, Task
+from subplan.gridworld import LowLevelPolicy, Pi0, StateId, Task, low_level_matrix
 from subplan.tree import (
     AndKey,
     BudgetExhausted,
@@ -74,7 +73,6 @@ class PlannerConfig:
     c_puct: float = 5.0
     mode: str = "divide_and_conquer"
     seed: int = 0
-    parallel_and: bool = False
 
     def __post_init__(self):
         if self.budget < 1:
@@ -160,7 +158,9 @@ class PlanningContext:
     of node statistics, and per-node AND visit counts.
 
     Attached to the SearchTree so that extraction and training-target
-    computation can score children exactly the way Select did.
+    computation can score children exactly the way Select did.  One
+    traversal at a time updates it, together with the tree's statistics
+    and budget counter.
     """
 
     def __init__(
@@ -179,25 +179,14 @@ class PlanningContext:
         self.index = self.maze.empty_index
         self.n = len(self.cells)
         self.candidates = candidate_subgoals(task)
-        self.v_pi = self._low_level_matrix()
+        self.v_pi = low_level_matrix(self.maze, self.low_level)
         self._vhat = np.full((self.n, self.n), np.nan)
         self._vhat_rows = np.zeros(self.n, dtype=bool)
         self._vhat_cols = np.zeros(self.n, dtype=bool)
         self.V_dense = np.full((self.n, self.n), np.nan)
         self.and_counts: dict[OrKey, np.ndarray] = {}
-        self.lock = threading.Lock()  # guards node stats and the budget counter
 
     # -- low-level values ---------------------------------------------------
-
-    def _low_level_matrix(self) -> np.ndarray:
-        if hasattr(self.low_level, "value_matrix"):
-            return np.asarray(self.low_level.value_matrix(self.maze), dtype=float)
-        n = self.n
-        out = np.empty((n, n))
-        for i, a in enumerate(self.cells):
-            for j, b in enumerate(self.cells):
-                out[i, j] = self.low_level.value(self.maze, a, b)
-        return out
 
     def kidx(self, key: OrKey) -> tuple[int, int]:
         return self.index[key.s], self.index[key.s2]
@@ -279,8 +268,8 @@ TieFn = Callable[[int, int], int]  # (path_key, n_options) -> index
 
 
 class _PathRng:
-    """Generator-like adapter exposing .integers and .random at a fixed
-    position in the traversal, so draws do not depend on schedule order."""
+    """Generator-like adapter exposing .integers at a fixed position in the
+    traversal: each tie draws from the stream of its own path key."""
 
     def __init__(self, tie_fn: TieFn, path_key: int):
         self._tie_fn = tie_fn
@@ -306,8 +295,8 @@ def select_child(or_node, and_counts, c_puct, rng, ctx: PlanningContext) -> SubG
     max(v_pi, v_hat) without consuming budget.  Ties break uniformly at
     random with the provided RNG.
     """
-    idx = _select_index(or_node, and_counts, c_puct, lambda n: int(rng.integers(n)), ctx)
-    return ctx.candidates[idx]
+    scores = selection_scores(or_node, and_counts, c_puct, ctx)
+    return ctx.candidates[_argmax_with_ties(scores, lambda n: int(rng.integers(n)))]
 
 
 def selection_scores(node, and_counts: np.ndarray, c_puct: float, ctx: PlanningContext) -> np.ndarray:
@@ -319,12 +308,6 @@ def selection_scores(node, and_counts: np.ndarray, c_puct: float, ctx: PlanningC
     if c_puct > 0 and node.N > 0:
         return exploit + c_puct * node.prior * (math.sqrt(node.N) / (1.0 + and_counts))
     return exploit
-
-
-def _select_index(
-    node, and_counts: np.ndarray, c_puct: float, rng_pick: Callable[[int], int], ctx: PlanningContext
-) -> int:
-    return _argmax_with_ties(selection_scores(node, and_counts, c_puct, ctx), rng_pick)
 
 
 def descend_one(mode: str, left_stats, right_stats, rng) -> str:
@@ -356,60 +339,34 @@ def descend_one(mode: str, left_stats, right_stats, rng) -> str:
     raise ValueError(f"not a descend mode: {mode!r}")
 
 
-def _run_pair(fn_left: Callable[[], float], fn_right: Callable[[], float]) -> tuple[float, float]:
-    """Run the two AND-branch traversals on worker threads.
-
-    Shared transpositions and the budget counter make the branches
-    order-dependent, so the right branch waits for the left to finish: the
-    effect order is exactly sequential left-then-right, which keeps results
-    bit-identical to the sequential strategy while the mutation primitives
-    still go through the tree lock.
-    """
-    out: list[float | None] = [None, None]
-    err: list[BaseException | None] = [None, None]
-
-    def body(i: int, fn: Callable[[], float], after: threading.Thread | None) -> None:
-        if after is not None:
-            after.join()
-        try:
-            out[i] = fn()
-        except BaseException as e:  # re-raised on the caller's thread
-            err[i] = e
-
-    t_left = threading.Thread(target=body, args=(0, fn_left, None))
-    t_right = threading.Thread(target=body, args=(1, fn_right, t_left))
-    t_left.start()
-    t_right.start()
-    t_left.join()
-    t_right.join()
-    for e in err:
-        if e is not None:
-            raise e
-    return out[0], out[1]
-
-
 def _traverse(
     ctx: PlanningContext, tree: SearchTree, key: OrKey, depth: int, path_key: int, tie_fn: TieFn
 ) -> float:
+    """One traversal below key; returns its G.
+
+    The two sub-tasks of a split share transposition nodes and the budget
+    counter, so the left one is traversed to completion before the right.
+    The children of path_key are 2·path_key (left) and 2·path_key + 1
+    (right).
+    """
     node = tree.or_nodes.get(key)
     if node is None:
         v_pi = ctx.vpi_key(key)
         v_boot = ctx.vhat_key(key)
         prior = ctx.prior_key(key)
-        with ctx.lock:
-            try:
-                v0 = expand_node(tree, key, v_pi, v_boot, prior)
-            except BudgetExhausted:
-                return max(v_pi, v_boot)  # no budget: bootstrap without expanding
-            ctx.on_expand(tree, key, v0)
+        try:
+            v0 = expand_node(tree, key, v_pi, v_boot, prior)
+        except BudgetExhausted:
+            return max(v_pi, v_boot)  # no budget: bootstrap without expanding
+        ctx.on_expand(tree, key, v0)
         return v0
 
     counts = ctx.and_counts[key]
-    pick = _select_index(node, counts, ctx.config.c_puct, _PathRng(tie_fn, path_key).integers, ctx)
+    scores = selection_scores(node, counts, ctx.config.c_puct, ctx)
+    pick = _argmax_with_ties(scores, _PathRng(tie_fn, path_key).integers)
     mid = ctx.candidates[pick]
-    with ctx.lock:
-        touch_and_node(tree, AndKey(key.s, mid, key.s2))
-        counts[pick] += 1
+    touch_and_node(tree, AndKey(key.s, mid, key.s2))
+    counts[pick] += 1
 
     if mid is None or depth >= ctx.config.max_depth:
         G = node.v_pi
@@ -433,20 +390,14 @@ def _traverse(
             else:
                 g_left = ctx.child_stats(tree, left)[0]
                 g_right = _traverse(ctx, tree, right, depth + 1, 2 * path_key + 1, tie_fn)
-        elif ctx.config.parallel_and:
-            g_left, g_right = _run_pair(
-                lambda: _traverse(ctx, tree, left, depth + 1, 2 * path_key, tie_fn),
-                lambda: _traverse(ctx, tree, right, depth + 1, 2 * path_key + 1, tie_fn),
-            )
         else:
             g_left = _traverse(ctx, tree, left, depth + 1, 2 * path_key, tie_fn)
             g_right = _traverse(ctx, tree, right, depth + 1, 2 * path_key + 1, tie_fn)
         G = g_left * g_right
 
     G = max(G, node.v_pi)  # planning can only improve on acting directly
-    with ctx.lock:
-        v, _ = update_or_stats(tree, key, G)
-        ctx.on_update(key, v)
+    v, _ = update_or_stats(tree, key, G)
+    ctx.on_update(key, v)
     return G
 
 
@@ -665,24 +616,6 @@ def run_search(
         tree_stats=stats,
         tree=tree,
     )
-
-
-def run_search_sequential(
-    task: Task,
-    heuristics: SearchHeuristics,
-    config: PlannerConfig,
-    low_level: LowLevelPolicy | None = None,
-) -> PlanResult:
-    """run_search restricted to right-expansion only (chain plans)."""
-    cfg = PlannerConfig(
-        budget=config.budget,
-        max_depth=config.max_depth,
-        c_puct=config.c_puct,
-        mode="sequential_right",
-        seed=config.seed,
-        parallel_and=config.parallel_and,
-    )
-    return run_search(task, heuristics, cfg, low_level)
 
 
 def plan_result_json(result: PlanResult, tree_dump_ref: str | None = None) -> str:

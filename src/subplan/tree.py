@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from subplan.gridworld import StateId, Task
+from subplan.gridworld import StateId, Task, format_cell, parse_cell
 
 # A sub-goal candidate: a cell, or None for the no-split symbol ∅.
 SubGoal = StateId | None
@@ -96,9 +96,6 @@ class SearchTree:
     # computation can score unexpanded children the way Select did.
     context: object | None = None
 
-    def node(self, key: OrKey) -> OrNode | None:
-        return self.or_nodes.get(key)
-
 
 def expand_node(
     tree: SearchTree, key: OrKey, v_pi: float, v_boot: float, prior: np.ndarray
@@ -149,12 +146,14 @@ def candidate_subgoals(task: Task, key: OrKey | None = None) -> list[SubGoal]:
     return [None, *task.maze.empty_cells]
 
 
-def _fmt_cell(s: StateId) -> str:
-    return f"{s.row},{s.col}"
+def format_subgoal(mid: SubGoal) -> str:
+    """Text form of a sub-goal: `row,col`, or ∅ for the no-split symbol."""
+    return "∅" if mid is None else format_cell(mid)
 
 
-def _fmt_mid(mid: SubGoal) -> str:
-    return "∅" if mid is None else _fmt_cell(mid)
+def parse_subgoal(text: str) -> SubGoal:
+    """Inverse of format_subgoal."""
+    return None if text == "∅" else parse_cell(text)
 
 
 def _fmt_stat(x: float) -> str:
@@ -168,21 +167,16 @@ def dump_tree(tree: SearchTree) -> str:
         n = tree.or_nodes[key]
         expanded = "true" if n.expanded else "false"
         lines.append(
-            f"OR {_fmt_cell(key.s)} {_fmt_cell(key.s2)} {_fmt_stat(n.V)} {n.N} {expanded}"
+            f"OR {format_cell(key.s)} {format_cell(key.s2)} {_fmt_stat(n.V)} {n.N} {expanded}"
         )
     def and_sort(k: AndKey):
         return (k.s, k.mid if k.mid is not None else NULL_SORT_KEY, k.s2)
     for key in sorted(tree.and_nodes, key=and_sort):
         n = tree.and_nodes[key]
         lines.append(
-            f"AND {_fmt_cell(key.s)} {_fmt_mid(key.mid)} {_fmt_cell(key.s2)} {n.N}"
+            f"AND {format_cell(key.s)} {format_subgoal(key.mid)} {format_cell(key.s2)} {n.N}"
         )
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _parse_cell(text: str) -> StateId:
-    r, c = text.split(",")
-    return StateId(int(r), int(c))
 
 
 def load_tree_dump(text: str, root: OrKey | None = None) -> SearchTree:
@@ -201,7 +195,7 @@ def load_tree_dump(text: str, root: OrKey | None = None) -> SearchTree:
         if parts[0] == "OR":
             if len(parts) != 6:
                 raise ValueError(f"bad OR line: {line!r}")
-            key = OrKey(_parse_cell(parts[1]), _parse_cell(parts[2]))
+            key = OrKey(parse_cell(parts[1]), parse_cell(parts[2]))
             if parts[5] not in ("true", "false"):
                 raise ValueError(f"bad expanded flag: {line!r}")
             node = OrNode(
@@ -219,8 +213,7 @@ def load_tree_dump(text: str, root: OrKey | None = None) -> SearchTree:
         elif parts[0] == "AND":
             if len(parts) != 5:
                 raise ValueError(f"bad AND line: {line!r}")
-            mid = None if parts[2] == "∅" else _parse_cell(parts[2])
-            key = AndKey(_parse_cell(parts[1]), mid, _parse_cell(parts[3]))
+            key = AndKey(parse_cell(parts[1]), parse_subgoal(parts[2]), parse_cell(parts[3]))
             if key in and_nodes:
                 raise ValueError(f"duplicate AND key: {line!r}")
             and_nodes[key] = AndNode(key=key, N=int(parts[4]))

@@ -132,7 +132,7 @@ class TestPlan:
             dump = tmp_path / name
             code, out = run_cli("plan", "--maze", str(maze), "--start", "0,0",
                                 "--goal", "4,4", "--budget", "25",
-                                "--seed", "3", "--parallel-and",
+                                "--seed", "3",
                                 "--dump-tree", str(dump), capsys=capsys)
             assert code == 0
             report = [l for l in out.splitlines() if not l.startswith("tree dump")]

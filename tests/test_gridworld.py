@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subplan.gridworld import (
+    DIRS,
     EMPTY,
     WALL,
     Maze,
     Pi0,
     StateId,
     Task,
+    _carve_perfect,
     decode_task,
     encode_task,
     execute_plan,
@@ -96,6 +98,44 @@ def test_generated_mazes_connected(seed, density):
     empties = empty_set(maze.cells)
     assert len(empties) >= 2
     assert flood_fill(maze.cells, next(iter(empties))) == empties
+
+
+def knock_down_reference(width: int, height: int, density: float, seed: int) -> np.ndarray:
+    """generate_maze with its knock-down step as a per-wall scan: every
+    round lists the interior walls with an empty 4-neighbor in row-major
+    order and draws one of them."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    cells = np.full((height, width), WALL, dtype=np.uint8)
+    _carve_perfect(cells, width, height, rng)
+    target = round(density * perfect_wall_count(width, height))
+    while np.sum(cells[1:-1, 1:-1] == WALL) > target:
+        eligible = [
+            (r, c)
+            for r, c in np.argwhere(cells == WALL)
+            if 0 < r < height - 1 and 0 < c < width - 1
+            and any(0 <= r + dr < height and 0 <= c + dc < width
+                    and cells[r + dr, c + dc] == EMPTY for dr, dc in DIRS)
+        ]
+        r, c = eligible[int(rng.integers(len(eligible)))]
+        cells[r, c] = EMPTY
+    return cells
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    width=st.integers(3, 20),
+    height=st.integers(3, 13),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_generation_matches_per_wall_scan(width, height, density, seed):
+    expected = knock_down_reference(width, height, density, seed)
+    try:
+        maze = generate_maze(width, height, density, seed=seed)
+    except ValueError:
+        assert np.sum(expected == EMPTY) < 2
+        return
+    assert np.array_equal(maze.cells, expected)
 
 
 def test_density_interpolates_wall_count():

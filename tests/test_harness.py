@@ -75,13 +75,13 @@ class TestConfig:
     def test_type_coercion_and_alias(self):
         cfg = experiment_config({
             "width": "7", "density": "0.5", "mode": "dc",
-            "parallel_and": "true", "step_limit": "none",
+            "mc_value_targets": "true", "step_limit": "none",
             "learning_rate": "0.01",
         })
         assert cfg.width == 7
         assert cfg.density == 0.5
         assert cfg.mode == "divide_and_conquer"
-        assert cfg.parallel_and is True
+        assert cfg.mc_value_targets is True
         assert cfg.step_limit is None
         assert cfg.learning_rate == 0.01
 
@@ -89,9 +89,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config key"):
             experiment_config({"widht": "7"})
 
+    def test_removed_parallel_and_key_rejected(self):
+        with pytest.raises(ValueError, match="unknown config key 'parallel_and'"):
+            experiment_config({"parallel_and": "false"})
+
     def test_bad_bool_rejected(self):
         with pytest.raises(ValueError, match="boolean"):
-            experiment_config({"parallel_and": "maybe"})
+            experiment_config({"mc_value_targets": "maybe"})
 
     def test_invalid_enums_rejected(self):
         with pytest.raises(ValueError):
@@ -110,8 +114,7 @@ class TestConfig:
 
     def test_serialize_round_trip(self, tmp_path):
         cfg = ExperimentConfig(width=7, height=5, density=0.6, budget=42,
-                               mode="sequential", parallel_and=True,
-                               episodes=12, seed=3)
+                               mode="sequential", episodes=12, seed=3)
         path = tmp_path / "cfg.txt"
         path.write_text(serialize_config(cfg))
         assert load_config_file(path, environ={}) == cfg
@@ -291,14 +294,6 @@ class TestEvaluate:
         assert a.solved == round(a.fraction * a.tasks)
         assert a.ci_low <= a.fraction <= a.ci_high
         assert a.mode == "divide_and_conquer"
-
-    def test_parallel_workers_match_serial(self):
-        env = EnvConfig(6, 6, 0.5)
-        cfg = PlannerConfig(budget=10)
-        serial = evaluate(UntrainedHeuristics(), env, cfg, tasks=8, seed=5)
-        parallel = evaluate(UntrainedHeuristics(), env, cfg, tasks=8, seed=5,
-                            workers=4)
-        assert serial == parallel
 
     def test_summary_round_trip(self):
         s = EvalSummary(mode="divide_and_conquer", width=6, height=6,

@@ -30,10 +30,8 @@ from subplan.heuristics import (
     save_replay,
     train_step,
     training_loop,
-    uniform_prior,
     value_features,
     value_targets_from_result,
-    zero_value,
 )
 from subplan.planner import PlannerConfig, PlanningContext, run_search
 from subplan.tree import OrKey, SearchTree, candidate_subgoals, expand_node, update_or_stats
@@ -150,8 +148,6 @@ class TestFreshModel:
         assert np.all(heur.values(maze, pairs) == 0.0)
         cands = candidate_subgoals(task)
         assert np.allclose(heur.prior(task, OrKey(task.start, task.goal), cands), 0.25)
-        assert zero_value(task, OrKey(task.start, task.goal)) == 0.0
-        assert np.allclose(uniform_prior(task, OrKey(task.start, task.goal)), 0.25)
 
     def test_optimizer_validated(self):
         with pytest.raises(ValueError):
@@ -395,7 +391,7 @@ def make_batch(maze: Maze, rng) -> dict:
 
 def manual_losses(params: dict, batch: dict) -> tuple[float, float]:
     """Independent forward pass and cross-entropy computation."""
-    from subplan.heuristics import _empty_cells_of, _walls_from_encoding
+    from subplan.heuristics import _maze_from_encoding
 
     def head(prefix, X):
         A = np.tanh(X @ params[f"{prefix}_w1"] + params[f"{prefix}_b1"])
@@ -403,7 +399,7 @@ def manual_losses(params: dict, batch: dict) -> tuple[float, float]:
 
     value_loss = 0.0
     for e in batch["value"]:
-        walls = _walls_from_encoding(e.encoding)
+        walls = _maze_from_encoding(e.encoding).cells
         X = value_features(walls, np.array([[e.key.s.row, e.key.s.col,
                                              e.key.s2.row, e.key.s2.col]]))
         z = head("value", X)[0]
@@ -413,9 +409,9 @@ def manual_losses(params: dict, batch: dict) -> tuple[float, float]:
 
     prior_loss = 0.0
     for e in batch["prior"]:
-        walls = _walls_from_encoding(e.encoding)
-        cands = [None, *_empty_cells_of(walls)]
-        X = prior_features(walls, e.s, e.s2, cands)
+        maze = _maze_from_encoding(e.encoding)
+        cands = [None, *maze.empty_cells]
+        X = prior_features(maze.cells, e.s, e.s2, cands)
         z = head("prior", X)
         zs = z - z.max()
         logp = zs - math.log(np.exp(zs).sum())
@@ -652,6 +648,23 @@ class TestReplayPersistence:
     def test_prior_target_must_sum_to_one(self):
         with pytest.raises(ValueError, match="prior target"):
             load_replay(self.snapshot(4, priors=([0.3, 0.1, 0.1, 0.1],)))
+
+    @pytest.mark.parametrize("entry, match", [
+        ("value 0,0 0,2 0.5 1 3 979", "labels"),
+        ("value 0,0 0,1 0.5 1 3 210", "wall"),
+        ("value 0,0 0,7 0.5 1 3 203", "outside"),
+        ("prior 0,0 0,1 0,2 1 3 213 0.5 0.25 0.25", "wall"),
+        ("prior 0,0 ∅ 0,2 1 3 203 0.5 0.5", "one per candidate"),
+    ], ids=["bad-label", "key-on-wall", "key-out-of-bounds", "mid-on-wall", "target-length"])
+    def test_invalid_entry_rejected(self, entry, match):
+        with pytest.raises(ValueError, match=match):
+            load_replay(f"replay v1\nmeta capacity 4\n{entry}\n")
+
+    def test_valid_entries_load(self):
+        buf = load_replay("replay v1\nmeta capacity 4\n"
+                          "value 0,0 0,2 0.5 1 3 213\n"
+                          "prior 0,0 ∅ 0,2 1 3 203 0.25 0.25 0.25 0.25\n")
+        assert len(buf.value_entries) == len(buf.prior_entries) == 1
 
     def test_data_before_meta_rejected(self):
         lines = self.snapshot(4, values=(0.5,)).splitlines()

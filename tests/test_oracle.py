@@ -6,11 +6,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from subplan.gridworld import Maze, Pi0, StateId, Task, generate_maze, sample_task
+from subplan.gridworld import Maze, Pi0, StateId, Task, bfs_distances, generate_maze, sample_task
 from subplan.oracle import (
     ExactHeuristics,
     StochasticTestPolicy,
-    _bfs_distances,
     exact_plan_success,
     exact_policy_value,
     exact_value_table,
@@ -204,7 +203,7 @@ class TestExactPolicyValue:
         rng = np.random.default_rng(0)
         for _ in range(10):
             s, g = (cells[int(rng.integers(len(cells)))] for _ in range(2))
-            dist = _bfs_distances(maze, g).get(s)
+            dist = bfs_distances(maze, g).get(s)
             assert dist is not None  # generated mazes are connected
             v = exact_policy_value(maze, pol, s, g, horizon=max(dist, 1))
             assert v == pytest.approx(1.0, abs=1e-12)

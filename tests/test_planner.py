@@ -1,11 +1,12 @@
 """Planner tests: selection arithmetic, traversal semantics, extraction,
-search invariants, baselines, and determinism (including parallel AND)."""
+search invariants, baselines, and determinism."""
 
 from __future__ import annotations
 
 import gc
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from subplan.planner import (
     plan_objective,
     plan_result_json,
     run_search,
-    run_search_sequential,
     select_child,
     selection_scores,
     traverse,
@@ -722,21 +722,6 @@ class TestRunSearch:
         assert dump_tree(r1.tree) == dump_tree(r2.tree)
         assert plan_result_json(r1) == plan_result_json(r2)
 
-    def test_parallel_and_bit_identical_to_sequential(self):
-        maze = generate_maze(9, 9, 0.5, seed=3)
-        task = sample_task(maze, seed=8)
-        base = PlannerConfig(budget=60, seed=5, parallel_and=False)
-        par = PlannerConfig(budget=60, seed=5, parallel_and=True)
-        heur = StubHeuristics(vhat=0.3)
-        r_seq = run_search(task, heur, base)
-        r_par = run_search(task, heur, par)
-        assert dump_tree(r_seq.tree) == dump_tree(r_par.tree)
-        assert r_seq.plan == r_par.plan
-        assert r_seq.tree_stats == r_par.tree_stats
-        # and parallel re-runs are themselves stable
-        r_par2 = run_search(task, heur, par)
-        assert dump_tree(r_par.tree) == dump_tree(r_par2.tree)
-
     def test_tiny_board_terminates_with_spare_budget(self):
         maze = row_maze(3)
         task = Task(maze, cell(0, 0), cell(0, 2))
@@ -764,8 +749,8 @@ class TestSequential:
         for seed in range(5):
             maze = generate_maze(7, 7, 0.5, seed=seed)
             task = sample_task(maze, seed=seed + 50)
-            res = run_search_sequential(task, StubHeuristics(vhat=0.3),
-                                        PlannerConfig(budget=30, seed=seed))
+            res = run_search(task, StubHeuristics(vhat=0.3),
+                             PlannerConfig(budget=30, seed=seed, mode="sequential_right"))
             for key in res.tree.or_nodes:
                 assert key.s2 == task.goal
 
@@ -773,8 +758,8 @@ class TestSequential:
         maze = open_grid(5)
         task = Task(maze, cell(0, 0), cell(4, 4))
         table = exact_value_table(task, Pi0())
-        res = run_search_sequential(task, ExactHeuristics(table),
-                                    PlannerConfig(budget=50, seed=0))
+        res = run_search(task, ExactHeuristics(table),
+                         PlannerConfig(budget=50, seed=0, mode="sequential_right"))
         for node in res.solution_tree.nodes():
             if not node.terminal:
                 assert node.left.terminal
@@ -784,7 +769,7 @@ class TestSequential:
         task = Task(maze, cell(2, 2), cell(2, 3))
         cfg = PlannerConfig(budget=5, seed=0)
         r_dc = run_search(task, StubHeuristics(), cfg)
-        r_seq = run_search_sequential(task, StubHeuristics(), cfg)
+        r_seq = run_search(task, StubHeuristics(), replace(cfg, mode="sequential_right"))
         assert r_dc.plan == r_seq.plan
 
     def test_open_grid_matches_dc_objective(self):
@@ -793,7 +778,7 @@ class TestSequential:
         table = exact_value_table(task, Pi0())
         cfg = PlannerConfig(budget=50, seed=0)
         r_dc = run_search(task, ExactHeuristics(table), cfg)
-        r_seq = run_search_sequential(task, ExactHeuristics(table), cfg)
+        r_seq = run_search(task, ExactHeuristics(table), replace(cfg, mode="sequential_right"))
         assert r_seq.plan.objective_L == pytest.approx(r_dc.plan.objective_L, abs=1e-9)
         assert r_seq.plan.objective_L == pytest.approx(1.0, abs=1e-9)
 
