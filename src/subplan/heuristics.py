@@ -12,6 +12,7 @@ finite-difference tests have no framework in the way.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
@@ -251,28 +252,25 @@ class ValueEntry(NamedTuple):
 
 class ReplayBuffer:
     """Two FIFO streams (prior and value entries), each capped at capacity,
-    sampled uniformly with replacement."""
+    sampled uniformly with replacement.  Past capacity, each add evicts the
+    oldest entry of its stream."""
 
     def __init__(self, capacity: int = 2048):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.prior_entries: list[PriorEntry] = []
-        self.value_entries: list[ValueEntry] = []
+        self.prior_entries: deque[PriorEntry] = deque(maxlen=capacity)
+        self.value_entries: deque[ValueEntry] = deque(maxlen=capacity)
 
     def add_prior(self, entry: PriorEntry) -> None:
         if not math.isclose(float(np.sum(entry.target)), 1.0, abs_tol=1e-6):
             raise ValueError("prior target must sum to 1")
         self.prior_entries.append(entry)
-        if len(self.prior_entries) > self.capacity:
-            self.prior_entries.pop(0)
 
     def add_value(self, entry: ValueEntry) -> None:
         if not 0.0 <= entry.target <= 1.0:
             raise ValueError("value target must lie in [0, 1]")
         self.value_entries.append(entry)
-        if len(self.value_entries) > self.capacity:
-            self.value_entries.pop(0)
 
     def can_sample(self, batch_size: int) -> bool:
         return (

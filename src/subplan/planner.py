@@ -31,6 +31,7 @@ from subplan.tree import (
     AndKey,
     BudgetExhausted,
     OrKey,
+    OrNode,
     SearchTree,
     SubGoal,
     candidate_subgoals,
@@ -146,16 +147,23 @@ def plan_objective(
     return out
 
 
-def _pairs_array(left: Sequence[StateId], right: Sequence[StateId]) -> np.ndarray:
-    out = np.empty((len(left), 4), dtype=np.int64)
-    for i, (a, b) in enumerate(zip(left, right)):
-        out[i] = (a.row, a.col, b.row, b.col)
-    return out
-
-
 class PlanningContext:
-    """Per-search dense caches: low-level values, heuristic values, mirrors
-    of node statistics, and per-node AND visit counts.
+    """Per-search dense caches over the maze's n empty cells, indexed (i, j)
+    for the sub-task (cells[i], cells[j]).
+
+    Sources of truth: the SearchTree holds node statistics (OrNode.V and N,
+    AndNode.N); v_pi is fixed; _vhat holds v_hat, filled one whole row or
+    column at a time (_vhat_rows, _vhat_cols).  Everything else mirrors or
+    derives from these:
+      V_dense     OrNode.V of expanded keys, NaN elsewhere
+      and_counts  per-candidate AndNode.N of each expanded key (∅ first)
+      node_at     (OrNode, and_counts) of each expanded key by i·n + j
+      Q           the select-time child value: V_dense where a key is
+                  expanded, max(v_pi, v_hat) elsewhere; valid on filled
+                  rows and columns.  It is written in exactly four places:
+                  on_expand and on_update set Q[i, j] = V, and _fill_row and
+                  _fill_col rewrite a whole row or column, so every read
+                  sees the latest v_hat.
 
     Attached to the SearchTree so that extraction and training-target
     computation can score children exactly the way Select did.  One
@@ -178,18 +186,26 @@ class PlanningContext:
         self.cells = self.maze.empty_cells
         self.index = self.maze.empty_index
         self.n = len(self.cells)
+        self.coords = np.array(self.cells, dtype=np.int64).reshape(self.n, 2)
         self.candidates = candidate_subgoals(task)
         self.v_pi = low_level_matrix(self.maze, self.low_level)
         self._vhat = np.full((self.n, self.n), np.nan)
         self._vhat_rows = np.zeros(self.n, dtype=bool)
         self._vhat_cols = np.zeros(self.n, dtype=bool)
         self.V_dense = np.full((self.n, self.n), np.nan)
+        self.Q = np.full((self.n, self.n), np.nan)
         self.and_counts: dict[OrKey, np.ndarray] = {}
+        self.node_at: dict[int, tuple[OrNode, np.ndarray]] = {}
+        self._ij: dict[OrKey, tuple[int, int]] = {}
+        self._scaled_prior: dict[int, np.ndarray] = {}
 
     # -- low-level values ---------------------------------------------------
 
     def kidx(self, key: OrKey) -> tuple[int, int]:
-        return self.index[key.s], self.index[key.s2]
+        ij = self._ij.get(key)
+        if ij is None:
+            ij = self._ij[key] = (self.index[key.s], self.index[key.s2])
+        return ij
 
     def vpi_key(self, key: OrKey) -> float:
         i, j = self.kidx(key)
@@ -198,34 +214,28 @@ class PlanningContext:
     # -- heuristic values ---------------------------------------------------
 
     def _fill_row(self, i: int) -> None:
-        # heuristics.values is pure, so overwriting column-filled entries
-        # with identical numbers is harmless
         if not self._vhat_rows[i]:
-            pairs = _pairs_array([self.cells[i]] * self.n, self.cells)
+            pairs = np.hstack([np.broadcast_to(self.coords[i], (self.n, 2)), self.coords])
             self._vhat[i] = np.asarray(self.heuristics.values(self.maze, pairs), dtype=float)
             self._vhat_rows[i] = True
+            V = self.V_dense[i]
+            self.Q[i] = np.where(np.isnan(V), np.maximum(self.v_pi[i], self._vhat[i]), V)
 
     def _fill_col(self, j: int) -> None:
+        # A model's v_hat for one pair can differ in the last bit between a
+        # row batch and a column batch (its matrix products depend on the
+        # batch), so the latest fill wins, in _vhat and in Q alike.
         if not self._vhat_cols[j]:
-            pairs = _pairs_array(self.cells, [self.cells[j]] * self.n)
+            pairs = np.hstack([self.coords, np.broadcast_to(self.coords[j], (self.n, 2))])
             self._vhat[:, j] = np.asarray(self.heuristics.values(self.maze, pairs), dtype=float)
             self._vhat_cols[j] = True
+            V = self.V_dense[:, j]
+            self.Q[:, j] = np.where(np.isnan(V), np.maximum(self.v_pi[:, j], self._vhat[:, j]), V)
 
     def vhat_key(self, key: OrKey) -> float:
         i, j = self.kidx(key)
         self._fill_row(i)
         return float(self._vhat[i, j])
-
-    def boot_row(self, i: int) -> np.ndarray:
-        self._fill_row(i)
-        return np.maximum(self.v_pi[i], self._vhat[i])
-
-    def boot_col(self, j: int) -> np.ndarray:
-        self._fill_col(j)
-        return np.maximum(self.v_pi[:, j], self._vhat[:, j])
-
-    def boot_key(self, key: OrKey) -> float:
-        return max(self.vpi_key(key), self.vhat_key(key))
 
     def prior_key(self, key: OrKey) -> np.ndarray:
         return np.asarray(
@@ -237,31 +247,47 @@ class PlanningContext:
     def on_expand(self, tree: SearchTree, key: OrKey, v0: float) -> None:
         i, j = self.kidx(key)
         self.V_dense[i, j] = v0
-        self.and_counts[key] = np.zeros(self.n + 1, dtype=np.int64)
+        self.Q[i, j] = v0
+        counts = self.and_counts[key] = np.zeros(self.n + 1, dtype=np.int64)
+        self.node_at[i * self.n + j] = (tree.or_nodes[key], counts)
 
     def on_update(self, key: OrKey, v: float) -> None:
         i, j = self.kidx(key)
         self.V_dense[i, j] = v
+        self.Q[i, j] = v
 
     # -- child value views --------------------------------------------------
 
     def left_values(self, i: int) -> np.ndarray:
-        """Select-time value of (s, x) for every candidate cell x."""
+        """Select-time value of (s, x) for every candidate cell x.  The
+        vector is a view into the context's arrays: read it, never write it."""
         if self.config.mode == "sequential_right":
-            return self.v_pi[i].copy()
-        row = self.V_dense[i]
-        return np.where(np.isnan(row), self.boot_row(i), row)
+            return self.v_pi[i]
+        self._fill_row(i)
+        return self.Q[i]
 
     def right_values(self, j: int) -> np.ndarray:
-        """Select-time value of (x, s'') for every candidate cell x."""
-        col = self.V_dense[:, j]
-        return np.where(np.isnan(col), self.boot_col(j), col)
+        """Select-time value of (x, s'') for every candidate cell x.  The
+        vector is a view into the context's arrays: read it, never write it."""
+        self._fill_col(j)
+        return self.Q[:, j]
 
-    def child_stats(self, tree: SearchTree, key: OrKey) -> tuple[float, int]:
-        node = tree.or_nodes.get(key)
-        if node is None:
-            return self.boot_key(key), 0
-        return node.V, node.N
+    def scaled_prior(self, i: int, j: int, node: OrNode) -> np.ndarray:
+        """c_puct · prior of the expanded key (i, j), for this context's c_puct."""
+        f = i * self.n + j
+        cp = self._scaled_prior.get(f)
+        if cp is None:
+            cp = self._scaled_prior[f] = self.config.c_puct * node.prior
+        return cp
+
+    def child_stats(self, i: int, j: int) -> tuple[float, int]:
+        """(V, N) of the key (i, j); the bootstrap max(v_pi, v_hat) and 0
+        when it is not expanded."""
+        slot = self.node_at.get(i * self.n + j)
+        if slot is None:
+            self._fill_row(i)
+            return max(float(self.v_pi[i, j]), float(self._vhat[i, j])), 0
+        return slot[0].V, slot[0].N
 
 
 TieFn = Callable[[int, int], int]  # (path_key, n_options) -> index
@@ -279,12 +305,14 @@ class _PathRng:
         return self._tie_fn(self._path_key, int(n))
 
 
-def _argmax_with_ties(score: np.ndarray, rng_pick: Callable[[int], int]) -> int:
-    m = float(np.max(score))
-    ties = np.flatnonzero(score == m)
-    if len(ties) == 1:
-        return int(ties[0])
-    return int(ties[rng_pick(len(ties))])
+def _argmax_with_ties(score: np.ndarray, tie_fn: TieFn, path_key: int) -> int:
+    """Index of the maximum score; equal maxima break uniformly at random
+    with the tie stream of path_key."""
+    k = int(score.argmax())
+    if np.count_nonzero(score == score[k]) == 1:
+        return k
+    ties = np.flatnonzero(score == score[k])
+    return int(ties[_PathRng(tie_fn, path_key).integers(len(ties))])
 
 
 def select_child(or_node, and_counts, c_puct, rng, ctx: PlanningContext) -> SubGoal:
@@ -296,7 +324,7 @@ def select_child(or_node, and_counts, c_puct, rng, ctx: PlanningContext) -> SubG
     random with the provided RNG.
     """
     scores = selection_scores(or_node, and_counts, c_puct, ctx)
-    return ctx.candidates[_argmax_with_ties(scores, lambda n: int(rng.integers(n)))]
+    return ctx.candidates[_argmax_with_ties(scores, lambda _, n: int(rng.integers(n)), 0)]
 
 
 def selection_scores(node, and_counts: np.ndarray, c_puct: float, ctx: PlanningContext) -> np.ndarray:
@@ -304,9 +332,13 @@ def selection_scores(node, and_counts: np.ndarray, c_puct: float, ctx: PlanningC
     i, j = ctx.kidx(node.key)
     exploit = np.empty(ctx.n + 1)
     exploit[0] = node.v_pi
-    exploit[1:] = ctx.left_values(i) * ctx.right_values(j)
+    np.multiply(ctx.left_values(i), ctx.right_values(j), out=exploit[1:])
     if c_puct > 0 and node.N > 0:
-        return exploit + c_puct * node.prior * (math.sqrt(node.N) / (1.0 + and_counts))
+        if c_puct == ctx.config.c_puct:
+            cp = ctx.scaled_prior(i, j, node)
+        else:
+            cp = c_puct * node.prior
+        exploit += cp * (math.sqrt(node.N) / (1.0 + and_counts))
     return exploit
 
 
@@ -340,17 +372,19 @@ def descend_one(mode: str, left_stats, right_stats, rng) -> str:
 
 
 def _traverse(
-    ctx: PlanningContext, tree: SearchTree, key: OrKey, depth: int, path_key: int, tie_fn: TieFn
+    ctx: PlanningContext, tree: SearchTree, i: int, j: int, depth: int, path_key: int, tie_fn: TieFn
 ) -> float:
-    """One traversal below key; returns its G.
+    """One traversal below the key (cells[i], cells[j]); returns its G.
 
-    The two sub-tasks of a split share transposition nodes and the budget
+    The walk runs on cell indices and builds an OrKey only to expand.  The
+    two sub-tasks of a split share transposition nodes and the budget
     counter, so the left one is traversed to completion before the right.
     The children of path_key are 2·path_key (left) and 2·path_key + 1
     (right).
     """
-    node = tree.or_nodes.get(key)
-    if node is None:
+    slot = ctx.node_at.get(i * ctx.n + j)
+    if slot is None:
+        key = OrKey(ctx.cells[i], ctx.cells[j])
         v_pi = ctx.vpi_key(key)
         v_boot = ctx.vhat_key(key)
         prior = ctx.prior_key(key)
@@ -361,43 +395,42 @@ def _traverse(
         ctx.on_expand(tree, key, v0)
         return v0
 
-    counts = ctx.and_counts[key]
-    scores = selection_scores(node, counts, ctx.config.c_puct, ctx)
-    pick = _argmax_with_ties(scores, _PathRng(tie_fn, path_key).integers)
+    node, counts = slot
+    pick = _argmax_with_ties(selection_scores(node, counts, ctx.config.c_puct, ctx), tie_fn, path_key)
+    s, s2 = node.key
     mid = ctx.candidates[pick]
-    touch_and_node(tree, AndKey(key.s, mid, key.s2))
+    touch_and_node(tree, AndKey(s, mid, s2))
     counts[pick] += 1
 
     if mid is None or depth >= ctx.config.max_depth:
         G = node.v_pi
     else:
-        left = OrKey(key.s, mid)
-        right = OrKey(mid, key.s2)
+        x = pick - 1  # the cell index of mid
         mode = ctx.config.mode
         if mode == "sequential_right":
-            g_left = ctx.vpi_key(left)
-            g_right = _traverse(ctx, tree, right, depth + 1, 2 * path_key + 1, tie_fn)
+            g_left = float(ctx.v_pi[i, x])
+            g_right = _traverse(ctx, tree, x, j, depth + 1, 2 * path_key + 1, tie_fn)
         elif mode in DESCEND_MODES:
             branch = descend_one(
                 mode,
-                ctx.child_stats(tree, left),
-                ctx.child_stats(tree, right),
+                ctx.child_stats(i, x),
+                ctx.child_stats(x, j),
                 _PathRng(tie_fn, path_key + (1 << 30)),
             )
             if branch == "left":
-                g_left = _traverse(ctx, tree, left, depth + 1, 2 * path_key, tie_fn)
-                g_right = ctx.child_stats(tree, right)[0]
+                g_left = _traverse(ctx, tree, i, x, depth + 1, 2 * path_key, tie_fn)
+                g_right = ctx.child_stats(x, j)[0]
             else:
-                g_left = ctx.child_stats(tree, left)[0]
-                g_right = _traverse(ctx, tree, right, depth + 1, 2 * path_key + 1, tie_fn)
+                g_left = ctx.child_stats(i, x)[0]
+                g_right = _traverse(ctx, tree, x, j, depth + 1, 2 * path_key + 1, tie_fn)
         else:
-            g_left = _traverse(ctx, tree, left, depth + 1, 2 * path_key, tie_fn)
-            g_right = _traverse(ctx, tree, right, depth + 1, 2 * path_key + 1, tie_fn)
+            g_left = _traverse(ctx, tree, i, x, depth + 1, 2 * path_key, tie_fn)
+            g_right = _traverse(ctx, tree, x, j, depth + 1, 2 * path_key + 1, tie_fn)
         G = g_left * g_right
 
     G = max(G, node.v_pi)  # planning can only improve on acting directly
-    v, _ = update_or_stats(tree, key, G)
-    ctx.on_update(key, v)
+    v, _ = update_or_stats(tree, node.key, G)
+    ctx.on_update(node.key, v)
     return G
 
 
@@ -428,7 +461,7 @@ def traverse(
             idx = 0 if akey.mid is None else ctx.index[akey.mid] + 1
             ctx.and_counts[parent][idx] = anode.N
     tie_fn = lambda path_key, n: int(rng.integers(n))
-    return _traverse(ctx, tree, key, depth, 1, tie_fn)
+    return _traverse(ctx, tree, *ctx.kidx(key), depth, 1, tie_fn)
 
 
 class _TieBreaker:
@@ -591,7 +624,7 @@ def run_search(
     idle = 0
     while tree.budget_used < config.budget and len(tree.or_nodes) < cap and idle < IDLE_TRAVERSAL_LIMIT:
         before = tree.budget_used
-        _traverse(ctx, tree, root, 0, 1, breaker.next_traversal())
+        _traverse(ctx, tree, *ctx.kidx(root), 0, 1, breaker.next_traversal())
         traversals += 1
         idle = idle + 1 if tree.budget_used == before else 0
 

@@ -4,6 +4,7 @@ hindsight parsers, gradient correctness, persistence, and the training loop."""
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -217,6 +218,25 @@ class TestReplayBuffer:
         b = buf.sample(np.random.default_rng(0), 5)
         assert len(a["prior"]) == len(a["value"]) == 5
         assert [e.target for e in a["value"]] == [e.target for e in b["value"]]
+
+    def test_eviction_order_and_sample_match_list_form(self):
+        maze = row_maze(3)
+        buf = ReplayBuffer(capacity=5)
+        values = [value_entry(maze, t / 20) for t in range(12)]
+        priors = [prior_entry(maze, [a, 0.5 - a, 0.25, 0.25]) for a in np.linspace(0, 0.5, 12)]
+        for v, p in zip(values, priors):
+            buf.add_value(v)
+            buf.add_prior(p)
+        # oldest evicted first: the streams hold the last `capacity` adds, in order
+        assert list(buf.value_entries) == values[-5:]
+        assert [e.target for e in buf.value_entries] == [0.35, 0.4, 0.45, 0.5, 0.55]
+        assert all(a is b for a, b in zip(buf.prior_entries, priors[-5:], strict=True))
+        # the list form drew prior indices, then value indices, from one rng
+        rng = np.random.default_rng(3)
+        pi, vi = rng.integers(5, size=16), rng.integers(5, size=16)
+        got = buf.sample(np.random.default_rng(3), 16)
+        assert all(a is priors[-5:][i] for a, i in zip(got["prior"], pi, strict=True))
+        assert all(a is values[-5:][i] for a, i in zip(got["value"], vi, strict=True))
 
 
 # ---------------------------------------------------------------------------
@@ -626,11 +646,12 @@ class TestReplayPersistence:
             load_replay("replay v1\nmeta capacity 4\nmeta capacity 8\n")
 
     def snapshot(self, capacity: int, values=(), priors=()) -> str:
-        """save_replay of a buffer filled without add_* validation."""
+        """save_replay of a buffer filled without add_* validation or the
+        capacity's eviction (unbounded streams)."""
         maze = row_maze(3)
         buf = ReplayBuffer(capacity=capacity)
-        buf.value_entries.extend(value_entry(maze, t) for t in values)
-        buf.prior_entries.extend(prior_entry(maze, t) for t in priors)
+        buf.value_entries = deque(value_entry(maze, t) for t in values)
+        buf.prior_entries = deque(prior_entry(maze, t) for t in priors)
         return save_replay(buf)
 
     def test_entries_beyond_capacity_rejected(self):

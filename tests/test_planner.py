@@ -4,6 +4,7 @@ search invariants, baselines, and determinism."""
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subplan.gridworld import Maze, Pi0, StateId, Task, generate_maze, sample_task
-from subplan.heuristics import TrainableModel, UntrainedHeuristics
+from subplan.heuristics import TrainableModel, UntrainedHeuristics, prior_targets_from_tree
 from subplan.oracle import ExactHeuristics, StochasticTestPolicy, exact_value_table
 from subplan.planner import (
     MODES,
@@ -305,7 +306,7 @@ class TestTraverse:
     def test_first_traversal_expands_root_and_bootstraps(self):
         tree, ctx, task = graded_row_setup({}, 3)
         tie = _TieBreaker(0).next_traversal()
-        g = _traverse(ctx, tree, tree.root, 0, 1, tie)
+        g = _traverse(ctx, tree, *ctx.kidx(tree.root), 0, 1, tie)
         assert g == 0.0  # max(v_pi=0, vhat=0)
         assert tree.budget_used == 1
         assert tree.or_nodes[tree.root].N == 0  # bootstrap pass: no update
@@ -316,7 +317,7 @@ class TestTraverse:
         tree, ctx = make_search(task, StubHeuristics(), PlannerConfig(budget=5))
         breaker = _TieBreaker(0)
         for _ in range(3):
-            g = _traverse(ctx, tree, tree.root, 0, 1, breaker.next_traversal())
+            g = _traverse(ctx, tree, *ctx.kidx(tree.root), 0, 1, breaker.next_traversal())
             assert g == 1.0
         assert tree.or_nodes[tree.root].V == 1.0
 
@@ -327,8 +328,8 @@ class TestTraverse:
         prior = [0.0, 0.0, 1.0, 0.0]  # force mid (0,1)
         tree, ctx, task = graded_row_setup(values, 3, heur_prior=prior)
         breaker = _TieBreaker(0)
-        _traverse(ctx, tree, tree.root, 0, 1, breaker.next_traversal())
-        g = _traverse(ctx, tree, tree.root, 0, 1, breaker.next_traversal())
+        _traverse(ctx, tree, *ctx.kidx(tree.root), 0, 1, breaker.next_traversal())
+        g = _traverse(ctx, tree, *ctx.kidx(tree.root), 0, 1, breaker.next_traversal())
         assert g == pytest.approx(0.72, abs=1e-15)
         node = tree.or_nodes[tree.root]
         assert node.V == pytest.approx(0.72, abs=1e-15)
@@ -350,7 +351,7 @@ class TestTraverse:
         for tree, ctx in ((capped, ctx1), (deep, ctx2)):
             breaker = _TieBreaker(0)
             for _ in range(6):
-                _traverse(ctx, tree, tree.root, 0, 1, breaker.next_traversal())
+                _traverse(ctx, tree, *ctx.kidx(tree.root), 0, 1, breaker.next_traversal())
         sub = OrKey(a, c)
         assert capped.or_nodes[sub].V == pytest.approx(0.3, abs=1e-12)
         assert deep.or_nodes[sub].V == pytest.approx(0.81, abs=1e-12)
@@ -363,8 +364,8 @@ class TestTraverse:
         prior = [0.0, 0.0, 1.0, 0.0]
         tree, ctx, task = graded_row_setup(values, 3, heur_prior=prior, budget=2)
         breaker = _TieBreaker(0)
-        _traverse(ctx, tree, tree.root, 0, 1, breaker.next_traversal())
-        g = _traverse(ctx, tree, tree.root, 0, 1, breaker.next_traversal())
+        _traverse(ctx, tree, *ctx.kidx(tree.root), 0, 1, breaker.next_traversal())
+        g = _traverse(ctx, tree, *ctx.kidx(tree.root), 0, 1, breaker.next_traversal())
         # left child took the last budget unit; right was evaluated as
         # bootstrap max(v_pi=0.8, vhat=0) without being expanded
         assert tree.budget_used == 2
@@ -436,6 +437,127 @@ class TestBookkeeping:
             node = res.tree.or_nodes[key]
             assert node.N == len(gs)
             assert node.V == pytest.approx(float(np.mean(gs)), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the select-time value matrix
+
+
+def select_values_form(ctx):
+    """What every filled row and column of ctx.Q must hold: V where a key is
+    expanded, the bootstrap max(v_pi, v_hat) elsewhere."""
+    return np.where(np.isnan(ctx.V_dense), np.maximum(ctx.v_pi, ctx._vhat), ctx.V_dense)
+
+
+def scores_form(node, counts, c_puct, ctx):
+    """selection_scores as fresh arrays rebuilt from V_dense and v_hat."""
+    i, j = ctx.kidx(node.key)
+    if ctx.config.mode == "sequential_right":
+        left = ctx.v_pi[i].copy()
+    else:
+        ctx._fill_row(i)
+        row = ctx.V_dense[i]
+        left = np.where(np.isnan(row), np.maximum(ctx.v_pi[i], ctx._vhat[i]), row)
+    ctx._fill_col(j)
+    col = ctx.V_dense[:, j]
+    right = np.where(np.isnan(col), np.maximum(ctx.v_pi[:, j], ctx._vhat[:, j]), col)
+    exploit = np.empty(ctx.n + 1)
+    exploit[0] = node.v_pi
+    exploit[1:] = left * right
+    if c_puct > 0 and node.N > 0:
+        return exploit + c_puct * node.prior * (math.sqrt(node.N) / (1.0 + counts))
+    return exploit
+
+
+class TestSelectMatrix:
+    @given(
+        size=st.tuples(st.integers(5, 7), st.integers(5, 7)),
+        density=st.floats(0.0, 1.0),
+        maze_seed=st.integers(0, 10_000),
+        mode=st.sampled_from(("divide_and_conquer", "sequential_right")),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_rebuilt_form(self, size, density, maze_seed, mode, data):
+        maze = generate_maze(size[0], size[1], density, maze_seed)
+        task = sample_task(maze, maze_seed)
+        cfg = PlannerConfig(budget=10_000, mode=mode)
+        tree, ctx = make_search(task, seeded_model(maze_seed % 97), cfg)
+        n = ctx.n
+        cell_index = st.integers(0, n - 1)
+        op = st.sampled_from(("expand", "update", "touch", "vhat", "row", "col"))
+        for _ in range(data.draw(st.integers(1, 25))):
+            kind = data.draw(op)
+            key = OrKey(ctx.cells[data.draw(cell_index)], ctx.cells[data.draw(cell_index)])
+            if kind in ("update", "touch") and tree.or_nodes:
+                key = data.draw(st.sampled_from(sorted(tree.or_nodes)))
+            if kind == "expand" and key not in tree.or_nodes:
+                expand(tree, ctx, key)
+            elif kind == "update" and key in tree.or_nodes:
+                update(tree, ctx, key, data.draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])))
+            elif kind == "touch" and key in tree.or_nodes:
+                touch(tree, ctx, key, data.draw(st.sampled_from(ctx.candidates)))
+            elif kind == "vhat":
+                ctx.vhat_key(key)
+            elif kind == "row":
+                ctx._fill_row(ctx.kidx(key)[0])
+            elif kind == "col":
+                # over a row-filled entry whenever row i is filled
+                ctx._fill_col(ctx.kidx(key)[1])
+
+            want = select_values_form(ctx)
+            for i in np.flatnonzero(ctx._vhat_rows):
+                assert ctx.Q[i].tobytes() == want[i].tobytes()
+            for j in np.flatnonzero(ctx._vhat_cols):
+                assert ctx.Q[:, j].tobytes() == want[:, j].tobytes()
+            for k, node in tree.or_nodes.items():
+                for c in (0.0, 5.0, 2.5):  # 5.0 is the context's own c_puct
+                    got = selection_scores(node, ctx.and_counts[k], c, ctx)
+                    assert got.tobytes() == scores_form(node, ctx.and_counts[k], c, ctx).tobytes()
+
+    def test_fill_pairs_match_loop_form(self):
+        maze = generate_maze(7, 5, 0.5, 1)
+        seen = []
+
+        class Recording(StubHeuristics):
+            def values(self, maze, pairs):
+                seen.append(pairs)
+                return super().values(maze, pairs)
+
+        ctx = PlanningContext(sample_task(maze, 1), Recording(vhat=0.3), PlannerConfig(budget=5))
+        ctx._fill_row(2)
+        ctx._fill_col(4)
+        a, b = ctx.cells[2], ctx.cells[4]
+        row_form = np.array([(a.row, a.col, c.row, c.col) for c in ctx.cells], dtype=np.int64)
+        col_form = np.array([(c.row, c.col, b.row, b.col) for c in ctx.cells], dtype=np.int64)
+        assert [p.dtype for p in seen] == [np.int64, np.int64]
+        assert np.array_equal(seen[0], row_form)
+        assert np.array_equal(seen[1], col_form)
+
+    @pytest.mark.parametrize("mode", ["divide_and_conquer", "sequential_right"])
+    def test_reads_leave_arrays_unchanged(self, mode):
+        maze = generate_maze(7, 7, 0.75, 4)
+        res = run_search(sample_task(maze, 4), seeded_model(4), PlannerConfig(budget=40, mode=mode))
+        tree, ctx = res.tree, res.tree.context
+
+        def read_all():
+            out = []
+            for k, node in tree.or_nodes.items():
+                out.append(selection_scores(node, ctx.and_counts[k], 5.0, ctx))
+                out.append(prior_targets_from_tree(tree, k))
+            return [a for a in out if a is not None]
+
+        def snapshot():
+            return [a.tobytes() for a in (ctx.V_dense, ctx._vhat, ctx.Q, ctx.v_pi)]
+
+        first = read_all()  # may fill rows and columns
+        before = snapshot()
+        second = read_all()
+        assert [a.tobytes() for a in first] == [a.tobytes() for a in second]
+        assert snapshot() == before
+        for a in second:  # callers own what they get back
+            a[:] = -1.0
+        assert snapshot() == before
 
 
 # ---------------------------------------------------------------------------
@@ -738,6 +860,34 @@ class TestRunSearch:
         assert payload["plan"][-1] == [0, 2]
         assert payload["tree_dump"] == "tree.txt"
         assert set(payload) == {"plan", "L", "G", "budget_used", "tree_stats", "tree_dump"}
+
+
+def search_fingerprint(budget: int = 30, seeds=(0, 2, 5)) -> str:
+    """sha256 over (sigma, L, tree_stats, dump_tree) of run_search on 9×9
+    mazes, every mode, untrained heuristics and a seeded model."""
+    h = hashlib.sha256()
+    for seed in seeds:
+        maze = generate_maze(9, 9, 0.75, seed)
+        task = sample_task(maze, seed)
+        for heur in (UntrainedHeuristics(), seeded_model(seed)):
+            for mode in MODES:
+                res = run_search(task, heur, PlannerConfig(budget=budget, mode=mode, seed=seed))
+                sigma = [[s.row, s.col] for s in res.plan.sigma]
+                h.update(json.dumps([sigma, res.plan.objective_L, res.tree_stats],
+                                    sort_keys=True).encode())
+                h.update(dump_tree(res.tree).encode())
+    return h.hexdigest()
+
+
+# Pinned on the planner that rebuilt its select-time child values on every
+# visit; a change to the search's results, however small, changes it.
+# Update it only with a CHANGES.md note naming the deliberate change in
+# behaviour.
+GOLDEN_SEARCH_SHA256 = "b1af42789992e1a79afaa4f62384dd03d2bafa03d7c8fdcd03514593bc739beb"
+
+
+def test_golden_search_fingerprint():
+    assert search_fingerprint() == GOLDEN_SEARCH_SHA256
 
 
 # ---------------------------------------------------------------------------
