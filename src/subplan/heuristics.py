@@ -42,7 +42,14 @@ from subplan.planner import (
     PlanResult,
     run_search,
 )
-from subplan.tree import OrKey, SearchTree, SubGoal, format_subgoal, parse_subgoal
+from subplan.tree import (
+    OrKey,
+    SearchTree,
+    SubGoal,
+    candidate_subgoals,
+    format_subgoal,
+    parse_subgoal,
+)
 
 PARSER_KINDS = ("left_first", "right_first", "temporally_balanced", "weight_balanced")
 OPTIMIZERS = ("sgd", "adam")
@@ -356,12 +363,11 @@ def prior_targets_from_tree(tree: SearchTree, key: OrKey) -> np.ndarray | None:
     ctx: PlanningContext = tree.context
     if ctx is None:
         raise ValueError("tree has no planning context")
-    node = tree.or_nodes.get(key)
-    if node is None or not node.expanded:
+    i, j = ctx.index.get(key.s), ctx.index.get(key.s2)
+    if i is None or j is None or i * ctx.n + j not in tree.and_counts:
         raise ValueError(f"prior targets need an expanded node, got {key}")
-    i, j = ctx.kidx(key)
     w = np.empty(ctx.n + 1)
-    w[0] = node.v_pi
+    w[0] = ctx.v_pi[i, j]
     w[1:] = ctx.left_values(i) * ctx.right_values(j)
     total = w.sum()
     if total <= 0.0:
@@ -406,7 +412,7 @@ def train_step(model: TrainableModel, batch: dict) -> tuple[float, float]:
         feats = []
         for e in prior_entries:
             maze = _maze_from_encoding(e.encoding)
-            cands = [None, *maze.empty_cells]
+            cands = candidate_subgoals(maze)
             if len(cands) != len(e.target):
                 raise ValueError("prior target length does not match candidates")
             feats.append(prior_features(maze.cells, e.s, e.s2, cands))

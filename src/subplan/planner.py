@@ -28,10 +28,8 @@ import numpy as np
 
 from subplan.gridworld import LowLevelPolicy, Pi0, StateId, Task, low_level_matrix
 from subplan.tree import (
-    AndKey,
     BudgetExhausted,
     OrKey,
-    OrNode,
     SearchTree,
     SubGoal,
     candidate_subgoals,
@@ -151,28 +149,31 @@ class PlanningContext:
     """Per-search dense caches over the maze's n empty cells, indexed (i, j)
     for the sub-task (cells[i], cells[j]).
 
-    Sources of truth: the SearchTree holds node statistics (OrNode.V and N,
-    AndNode.N); v_pi is fixed; _vhat holds v_hat, filled one whole row or
-    column at a time (_vhat_rows, _vhat_cols).  Everything else mirrors or
-    derives from these:
-      V_dense     OrNode.V of expanded keys, NaN elsewhere
-      and_counts  per-candidate AndNode.N of each expanded key (∅ first)
-      node_at     (OrNode, and_counts) of each expanded key by i·n + j
-      Q           the select-time child value: V_dense where a key is
-                  expanded, max(v_pi, v_hat) elsewhere; valid on filled
-                  rows and columns.  It is written in exactly four places:
-                  on_expand and on_update set Q[i, j] = V, and _fill_row and
-                  _fill_col rewrite a whole row or column, so every read
-                  sees the latest v_hat.
+    The SearchTree is the one store of node statistics (V, N, and_counts).
+    The context's V is the tree's V array itself, shared rather than
+    copied, so the context reads values without holding the tree.  Its own
+    caches derive from the maze, the heuristics and V:
+      v_pi    low-level values, fixed
+      _vhat   v_hat, filled one whole row or column at a time (_vhat_rows,
+              _vhat_cols)
+      Q       the select-time child value: V where a key is expanded,
+              max(v_pi, v_hat) elsewhere; valid on filled rows and columns.
+              It is written in exactly four places: _traverse sets
+              Q[i, j] = V after an expansion and after a backup, and
+              _fill_row and _fill_col rewrite a whole row or column, so
+              every read sees the latest v_hat.
+      priors  the heuristic prior of a key and c_puct times it, computed
+              on first use (Select reads them only at a key with N ≥ 1)
 
-    Attached to the SearchTree so that extraction and training-target
-    computation can score children exactly the way Select did.  One
-    traversal at a time updates it, together with the tree's statistics
-    and budget counter.
+    The constructor attaches the context to its tree (tree.context), so that
+    extraction and training-target computation can score children exactly
+    the way Select did.  One traversal at a time updates the tree's
+    statistics and the context's caches.
     """
 
     def __init__(
         self,
+        tree: SearchTree,
         task: Task,
         heuristics: SearchHeuristics,
         config: PlannerConfig,
@@ -184,32 +185,28 @@ class PlanningContext:
         self.config = config
         self.low_level = low_level if low_level is not None else Pi0()
         self.cells = self.maze.empty_cells
+        if tree.cells != self.cells:
+            raise ValueError("the tree's cells are not the maze's empty cells")
         self.index = self.maze.empty_index
         self.n = len(self.cells)
         self.coords = np.array(self.cells, dtype=np.int64).reshape(self.n, 2)
-        self.candidates = candidate_subgoals(task)
+        self.candidates = candidate_subgoals(self.maze)
         self.v_pi = low_level_matrix(self.maze, self.low_level)
         self._vhat = np.full((self.n, self.n), np.nan)
         self._vhat_rows = np.zeros(self.n, dtype=bool)
         self._vhat_cols = np.zeros(self.n, dtype=bool)
-        self.V_dense = np.full((self.n, self.n), np.nan)
+        self.V = tree.V
         self.Q = np.full((self.n, self.n), np.nan)
-        self.and_counts: dict[OrKey, np.ndarray] = {}
-        self.node_at: dict[int, tuple[OrNode, np.ndarray]] = {}
         self._ij: dict[OrKey, tuple[int, int]] = {}
+        self._prior: dict[int, np.ndarray] = {}
         self._scaled_prior: dict[int, np.ndarray] = {}
-
-    # -- low-level values ---------------------------------------------------
+        tree.context = self
 
     def kidx(self, key: OrKey) -> tuple[int, int]:
         ij = self._ij.get(key)
         if ij is None:
             ij = self._ij[key] = (self.index[key.s], self.index[key.s2])
         return ij
-
-    def vpi_key(self, key: OrKey) -> float:
-        i, j = self.kidx(key)
-        return float(self.v_pi[i, j])
 
     # -- heuristic values ---------------------------------------------------
 
@@ -218,7 +215,7 @@ class PlanningContext:
             pairs = np.hstack([np.broadcast_to(self.coords[i], (self.n, 2)), self.coords])
             self._vhat[i] = np.asarray(self.heuristics.values(self.maze, pairs), dtype=float)
             self._vhat_rows[i] = True
-            V = self.V_dense[i]
+            V = self.V[i]
             self.Q[i] = np.where(np.isnan(V), np.maximum(self.v_pi[i], self._vhat[i]), V)
 
     def _fill_col(self, j: int) -> None:
@@ -229,32 +226,31 @@ class PlanningContext:
             pairs = np.hstack([self.coords, np.broadcast_to(self.coords[j], (self.n, 2))])
             self._vhat[:, j] = np.asarray(self.heuristics.values(self.maze, pairs), dtype=float)
             self._vhat_cols[j] = True
-            V = self.V_dense[:, j]
+            V = self.V[:, j]
             self.Q[:, j] = np.where(np.isnan(V), np.maximum(self.v_pi[:, j], self._vhat[:, j]), V)
 
-    def vhat_key(self, key: OrKey) -> float:
-        i, j = self.kidx(key)
+    def vhat(self, i: int, j: int) -> float:
         self._fill_row(i)
         return float(self._vhat[i, j])
 
-    def prior_key(self, key: OrKey) -> np.ndarray:
-        return np.asarray(
-            self.heuristics.prior(self.task, key, self.candidates), dtype=float
-        )
+    def prior(self, i: int, j: int) -> np.ndarray:
+        """The heuristic prior of the key (i, j) over the candidates (∅
+        first), computed on first use."""
+        f = i * self.n + j
+        p = self._prior.get(f)
+        if p is None:
+            key = OrKey(self.cells[i], self.cells[j])
+            p = np.asarray(self.heuristics.prior(self.task, key, self.candidates), dtype=float)
+            self._prior[f] = p
+        return p
 
-    # -- node bookkeeping ---------------------------------------------------
-
-    def on_expand(self, tree: SearchTree, key: OrKey, v0: float) -> None:
-        i, j = self.kidx(key)
-        self.V_dense[i, j] = v0
-        self.Q[i, j] = v0
-        counts = self.and_counts[key] = np.zeros(self.n + 1, dtype=np.int64)
-        self.node_at[i * self.n + j] = (tree.or_nodes[key], counts)
-
-    def on_update(self, key: OrKey, v: float) -> None:
-        i, j = self.kidx(key)
-        self.V_dense[i, j] = v
-        self.Q[i, j] = v
+    def scaled_prior(self, i: int, j: int) -> np.ndarray:
+        """c_puct · prior of the key (i, j), for this context's c_puct."""
+        f = i * self.n + j
+        cp = self._scaled_prior.get(f)
+        if cp is None:
+            cp = self._scaled_prior[f] = self.config.c_puct * self.prior(i, j)
+        return cp
 
     # -- child value views --------------------------------------------------
 
@@ -271,23 +267,6 @@ class PlanningContext:
         vector is a view into the context's arrays: read it, never write it."""
         self._fill_col(j)
         return self.Q[:, j]
-
-    def scaled_prior(self, i: int, j: int, node: OrNode) -> np.ndarray:
-        """c_puct · prior of the expanded key (i, j), for this context's c_puct."""
-        f = i * self.n + j
-        cp = self._scaled_prior.get(f)
-        if cp is None:
-            cp = self._scaled_prior[f] = self.config.c_puct * node.prior
-        return cp
-
-    def child_stats(self, i: int, j: int) -> tuple[float, int]:
-        """(V, N) of the key (i, j); the bootstrap max(v_pi, v_hat) and 0
-        when it is not expanded."""
-        slot = self.node_at.get(i * self.n + j)
-        if slot is None:
-            self._fill_row(i)
-            return max(float(self.v_pi[i, j]), float(self._vhat[i, j])), 0
-        return slot[0].V, slot[0].N
 
 
 TieFn = Callable[[int, int], int]  # (path_key, n_options) -> index
@@ -315,31 +294,33 @@ def _argmax_with_ties(score: np.ndarray, tie_fn: TieFn, path_key: int) -> int:
     return int(ties[_PathRng(tie_fn, path_key).integers(len(ties))])
 
 
-def select_child(or_node, and_counts, c_puct, rng, ctx: PlanningContext) -> SubGoal:
-    """pUCT: argmax over candidates of V(s,x)·V(x,s'') + c·p·√N/(1+N_and).
+def selection_scores(tree: SearchTree, i: int, j: int, c_puct: float) -> np.ndarray:
+    """pUCT score of every candidate of the expanded key (i, j), ∅ first:
+    V(s,x)·V(x,s'') + c·p·√N/(1+N_and), exactly as Select sees it.
 
     The ∅ candidate's exploitation term is v_pi(s, s'') (it has no
     V-product); unexpanded children are scored with the bootstrap
-    max(v_pi, v_hat) without consuming budget.  Ties break uniformly at
-    random with the provided RNG.
+    max(v_pi, v_hat) without consuming budget.
     """
-    scores = selection_scores(or_node, and_counts, c_puct, ctx)
-    return ctx.candidates[_argmax_with_ties(scores, lambda _, n: int(rng.integers(n)), 0)]
-
-
-def selection_scores(node, and_counts: np.ndarray, c_puct: float, ctx: PlanningContext) -> np.ndarray:
-    """The pUCT score of every candidate (∅ first), exactly as Select sees it."""
-    i, j = ctx.kidx(node.key)
+    ctx = tree.context
     exploit = np.empty(ctx.n + 1)
-    exploit[0] = node.v_pi
+    exploit[0] = ctx.v_pi[i, j]
     np.multiply(ctx.left_values(i), ctx.right_values(j), out=exploit[1:])
-    if c_puct > 0 and node.N > 0:
-        if c_puct == ctx.config.c_puct:
-            cp = ctx.scaled_prior(i, j, node)
-        else:
-            cp = c_puct * node.prior
-        exploit += cp * (math.sqrt(node.N) / (1.0 + and_counts))
+    n = tree.N.item(i, j)
+    if c_puct > 0 and n > 0:
+        cp = ctx.scaled_prior(i, j) if c_puct == ctx.config.c_puct else c_puct * ctx.prior(i, j)
+        exploit += cp * (math.sqrt(n) / (1.0 + tree.and_counts[i * ctx.n + j]))
     return exploit
+
+
+def _child_stats(tree: SearchTree, i: int, j: int) -> tuple[float, int]:
+    """(V, N) of the key (i, j); the bootstrap max(v_pi, v_hat) and 0 when
+    it is not expanded."""
+    v = tree.V.item(i, j)
+    if math.isnan(v):
+        ctx = tree.context
+        return max(ctx.v_pi.item(i, j), ctx.vhat(i, j)), 0
+    return v, tree.N.item(i, j)
 
 
 def descend_one(mode: str, left_stats, right_stats, rng) -> str:
@@ -376,36 +357,28 @@ def _traverse(
 ) -> float:
     """One traversal below the key (cells[i], cells[j]); returns its G.
 
-    The walk runs on cell indices and builds an OrKey only to expand.  The
-    two sub-tasks of a split share transposition nodes and the budget
-    counter, so the left one is traversed to completion before the right.
-    The children of path_key are 2·path_key (left) and 2·path_key + 1
-    (right).
+    The walk runs on cell indices.  The two sub-tasks of a split share
+    transposition nodes and the budget counter, so the left one is
+    traversed to completion before the right.  The children of path_key
+    are 2·path_key (left) and 2·path_key + 1 (right).
     """
-    slot = ctx.node_at.get(i * ctx.n + j)
-    if slot is None:
-        key = OrKey(ctx.cells[i], ctx.cells[j])
-        v_pi = ctx.vpi_key(key)
-        v_boot = ctx.vhat_key(key)
-        prior = ctx.prior_key(key)
+    v_pi = ctx.v_pi.item(i, j)
+    if i * ctx.n + j not in tree.and_counts:
+        v_boot = ctx.vhat(i, j)
         try:
-            v0 = expand_node(tree, key, v_pi, v_boot, prior)
+            v0 = expand_node(tree, i, j, v_pi, v_boot)
         except BudgetExhausted:
             return max(v_pi, v_boot)  # no budget: bootstrap without expanding
-        ctx.on_expand(tree, key, v0)
+        ctx.Q[i, j] = v0
         return v0
 
-    node, counts = slot
-    pick = _argmax_with_ties(selection_scores(node, counts, ctx.config.c_puct, ctx), tie_fn, path_key)
-    s, s2 = node.key
-    mid = ctx.candidates[pick]
-    touch_and_node(tree, AndKey(s, mid, s2))
-    counts[pick] += 1
+    pick = _argmax_with_ties(selection_scores(tree, i, j, ctx.config.c_puct), tie_fn, path_key)
+    touch_and_node(tree, i, j, pick)
 
-    if mid is None or depth >= ctx.config.max_depth:
-        G = node.v_pi
+    if pick == 0 or depth >= ctx.config.max_depth:
+        G = v_pi
     else:
-        x = pick - 1  # the cell index of mid
+        x = pick - 1  # the cell index of the chosen sub-goal
         mode = ctx.config.mode
         if mode == "sequential_right":
             g_left = float(ctx.v_pi[i, x])
@@ -413,55 +386,25 @@ def _traverse(
         elif mode in DESCEND_MODES:
             branch = descend_one(
                 mode,
-                ctx.child_stats(i, x),
-                ctx.child_stats(x, j),
+                _child_stats(tree, i, x),
+                _child_stats(tree, x, j),
                 _PathRng(tie_fn, path_key + (1 << 30)),
             )
             if branch == "left":
                 g_left = _traverse(ctx, tree, i, x, depth + 1, 2 * path_key, tie_fn)
-                g_right = ctx.child_stats(x, j)[0]
+                g_right = _child_stats(tree, x, j)[0]
             else:
-                g_left = ctx.child_stats(i, x)[0]
+                g_left = _child_stats(tree, i, x)[0]
                 g_right = _traverse(ctx, tree, x, j, depth + 1, 2 * path_key + 1, tie_fn)
         else:
             g_left = _traverse(ctx, tree, i, x, depth + 1, 2 * path_key, tie_fn)
             g_right = _traverse(ctx, tree, x, j, depth + 1, 2 * path_key + 1, tie_fn)
         G = g_left * g_right
 
-    G = max(G, node.v_pi)  # planning can only improve on acting directly
-    v, _ = update_or_stats(tree, node.key, G)
-    ctx.on_update(node.key, v)
+    G = max(G, v_pi)  # planning can only improve on acting directly
+    v, _ = update_or_stats(tree, i, j, G)
+    ctx.Q[i, j] = v
     return G
-
-
-def traverse(
-    tree: SearchTree,
-    task: Task,
-    key: OrKey,
-    depth: int,
-    heuristics: SearchHeuristics,
-    config: PlannerConfig,
-    rng,
-) -> float:
-    """One search traversal from key; returns its G."""
-    ctx = tree.context
-    if ctx is None:
-        ctx = PlanningContext(task, heuristics, config)
-        tree.context = ctx
-        for k, node in tree.or_nodes.items():
-            # trees rebuilt from text dumps carry stats but not v_pi/prior
-            if math.isnan(node.v_pi):
-                node.v_pi = ctx.vpi_key(k)
-                node.v_boot = ctx.vhat_key(k)
-            if node.prior is None:
-                node.prior = ctx.prior_key(k)
-            ctx.on_expand(tree, k, node.V)
-        for akey, anode in tree.and_nodes.items():
-            parent = OrKey(akey.s, akey.s2)
-            idx = 0 if akey.mid is None else ctx.index[akey.mid] + 1
-            ctx.and_counts[parent][idx] = anode.N
-    tie_fn = lambda path_key, n: int(rng.integers(n))
-    return _traverse(ctx, tree, *ctx.kidx(key), depth, 1, tie_fn)
 
 
 class _TieBreaker:
@@ -512,20 +455,15 @@ class _Extractor:
 
     def __init__(self, ctx: PlanningContext, tree: SearchTree):
         self.ctx = ctx
-        self.tree = tree
+        self.max_depth = tree.max_depth
         self.seq = ctx.config.mode == "sequential_right"
-        keys = list(tree.or_nodes)
-        self.row = {k: r for r, k in enumerate(keys)}
-        self.I = np.array([ctx.index[k.s] for k in keys], dtype=np.intp)
-        self.J = np.array([ctx.index[k.s2] for k in keys], dtype=np.intp)
-        T = np.zeros((ctx.n, ctx.n), dtype=bool)
-        T[self.I, self.J] = True
-        M = T[:, self.J].T if self.seq else T[self.I] | T[:, self.J].T
-        rows = np.arange(len(keys))
-        M[rows, self.I] = False
-        M[rows, self.J] = False
-        self.mask = M
-        self.levels = self._value_levels()
+        self.T = T = ~np.isnan(tree.V)
+        I, J = np.nonzero(T)
+        M = T[:, J].T if self.seq else T[I] | T[:, J].T
+        rows = np.arange(len(I))
+        M[rows, I] = False
+        M[rows, J] = False
+        self.levels = self._value_levels(I, J, M)
 
     def _split_scores(self, W: np.ndarray, I, J, mask: np.ndarray) -> np.ndarray:
         """Masked split values W[i, x]·W[x, j] (v_pi[i, x] on the left in
@@ -533,49 +471,49 @@ class _Extractor:
         left = self.ctx.v_pi[I] if self.seq else W[I]
         return np.where(mask, left * W[:, J].T, -np.inf)
 
-    def _value_levels(self) -> list[np.ndarray]:
+    def _value_levels(self, I, J, M) -> list[np.ndarray]:
         v_pi = self.ctx.v_pi
-        direct = v_pi[self.I, self.J]
+        direct = v_pi[I, J]
         levels = [v_pi]
-        for _ in range(self.tree.max_depth):
-            split = self._split_scores(levels[-1], self.I, self.J, self.mask).max(axis=1)
+        for _ in range(self.max_depth):
+            split = self._split_scores(levels[-1], I, J, M).max(axis=1)
             cur = v_pi.copy()
-            cur[self.I, self.J] = np.maximum(direct, split)
+            cur[I, J] = np.maximum(direct, split)
             levels.append(cur)
         return levels
 
-    def _best_mid(self, key: OrKey, d: int) -> SubGoal:
-        r = self.row[key]
-        i, j = self.I[r], self.J[r]
-        scores = self._split_scores(self.levels[d - 1], i, j, self.mask[r])
+    def _best_mid(self, i: int, j: int, d: int) -> int | None:
+        mask = self.T[:, j].copy() if self.seq else self.T[i] | self.T[:, j]
+        mask[i] = mask[j] = False
+        scores = self._split_scores(self.levels[d - 1], i, j, mask)
         x = int(np.argmax(scores))
-        return self.ctx.cells[x] if scores[x] > self.ctx.v_pi[i, j] else None
+        return x if scores[x] > self.ctx.v_pi[i, j] else None
 
-    def node(self, key: OrKey, d: int) -> SolutionNode:
-        if d == 0 or key not in self.tree.or_nodes:
-            return SolutionNode(key=key, G=self.ctx.vpi_key(key), terminal=True)
-        mid = self._best_mid(key, d)
-        if mid is None:
-            return SolutionNode(key=key, G=self.ctx.vpi_key(key), terminal=True)
+    def node(self, i: int, j: int, d: int) -> SolutionNode:
+        ctx = self.ctx
+        key = OrKey(ctx.cells[i], ctx.cells[j])
+        x = self._best_mid(i, j, d) if d > 0 and self.T[i, j] else None
+        if x is None:
+            return SolutionNode(key=key, G=float(ctx.v_pi[i, j]), terminal=True)
         if self.seq:
             left_node = SolutionNode(
-                key=OrKey(key.s, mid), G=self.ctx.vpi_key(OrKey(key.s, mid)), terminal=True
+                key=OrKey(key.s, ctx.cells[x]), G=float(ctx.v_pi[i, x]), terminal=True
             )
         else:
-            left_node = self.node(OrKey(key.s, mid), d - 1)
-        right_node = self.node(OrKey(mid, key.s2), d - 1)
+            left_node = self.node(i, x, d - 1)
+        right_node = self.node(x, j, d - 1)
         return SolutionNode(
             key=key,
             G=left_node.G * right_node.G,
             terminal=False,
-            chosen=mid,
+            chosen=ctx.cells[x],
             left=left_node,
             right=right_node,
         )
 
 
 def _extract(ctx: PlanningContext, tree: SearchTree, key: OrKey, depth: int) -> SolutionNode:
-    return _Extractor(ctx, tree).node(key, max(tree.max_depth - depth, 0))
+    return _Extractor(ctx, tree).node(*ctx.kidx(key), max(tree.max_depth - depth, 0))
 
 
 def _flatten(node: SolutionNode) -> list[StateId]:
@@ -614,17 +552,18 @@ def run_search(
     low_level: LowLevelPolicy | None = None,
 ) -> PlanResult:
     """Grow the tree by repeated traversals, then extract the best plan."""
-    ctx = PlanningContext(task, heuristics, config, low_level)
     root = OrKey(task.start, task.goal)
-    tree = SearchTree(root=root, budget_max=config.budget, max_depth=config.max_depth)
-    tree.context = ctx
+    tree = SearchTree(root=root, budget_max=config.budget, max_depth=config.max_depth,
+                      cells=task.maze.empty_cells)
+    ctx = PlanningContext(tree, task, heuristics, config, low_level)
+    ri, rj = ctx.kidx(root)
     breaker = _TieBreaker(config.seed)
     cap = _reachable_key_cap(ctx.n, config.max_depth, config.mode)
     traversals = 0
     idle = 0
-    while tree.budget_used < config.budget and len(tree.or_nodes) < cap and idle < IDLE_TRAVERSAL_LIMIT:
+    while tree.budget_used < config.budget and len(tree.and_counts) < cap and idle < IDLE_TRAVERSAL_LIMIT:
         before = tree.budget_used
-        _traverse(ctx, tree, *ctx.kidx(root), 0, 1, breaker.next_traversal())
+        _traverse(ctx, tree, ri, rj, 0, 1, breaker.next_traversal())
         traversals += 1
         idle = idle + 1 if tree.budget_used == before else 0
 
@@ -632,14 +571,13 @@ def run_search(
     sigma = tuple(_flatten(sol_root))
     L = plan_objective(task, sigma, ctx.low_level)
     plan = Plan(sigma=sigma, objective_L=L, infeasible=L == 0.0)
-    root_node = tree.or_nodes[root]
     stats = {
-        "or_nodes": len(tree.or_nodes),
-        "and_nodes": len(tree.and_nodes),
+        "or_nodes": len(tree.and_counts),
+        "and_nodes": sum(int(np.count_nonzero(c)) for c in tree.and_counts.values()),
         "budget_used": tree.budget_used,
         "traversals": traversals,
-        "root_V": root_node.V,
-        "root_N": root_node.N,
+        "root_V": float(tree.V[ri, rj]),
+        "root_N": int(tree.N[ri, rj]),
     }
     return PlanResult(
         plan=plan,

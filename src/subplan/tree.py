@@ -6,6 +6,17 @@ update one value estimate.  AND nodes are keyed by (s, mid, s''), where mid
 is either a cell or the no-split symbol ``None`` (rendered ∅ in dumps): the
 decision to hand the whole sub-task to the low-level policy.
 
+The store is dense over the tree's cells (the maze's empty cells in
+row-major order): the key (cells[i], cells[j]) is the index pair (i, j), so
+index order is key order.  It holds
+
+  V            (n, n) running values, NaN where a key is not expanded
+  N            (n, n) visit counts
+  and_counts   i·n + j -> the visit count of each split of that key, ∅
+               first and then one per cell; a key is expanded exactly when
+               it has an entry here
+  budget_used  expansions so far
+
 Budget is consumed by expansions only; every other read (bootstrap scoring
 of unexpanded children, value lookups) is free.
 """
@@ -13,16 +24,14 @@ of unexpanded children, value lookups) is free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from subplan.gridworld import StateId, Task, format_cell, parse_cell
+from subplan.gridworld import Maze, StateId, format_cell, parse_cell
 
 # A sub-goal candidate: a cell, or None for the no-split symbol ∅.
 SubGoal = StateId | None
-
-NULL_SORT_KEY = StateId(-1, -1)  # ∅ sorts before every real cell
 
 
 class OrKey(tuple):
@@ -42,108 +51,69 @@ class OrKey(tuple):
         return self[1]
 
 
-class AndKey(tuple):
-    """Triple (s, mid, s'') identifying an AND node; mid=None means ∅."""
-
-    __slots__ = ()
-
-    def __new__(cls, s: StateId, mid: SubGoal, s2: StateId):
-        return super().__new__(cls, (s, mid, s2))
-
-    @property
-    def s(self) -> StateId:
-        return self[0]
-
-    @property
-    def mid(self) -> SubGoal:
-        return self[1]
-
-    @property
-    def s2(self) -> StateId:
-        return self[2]
-
-
-@dataclass
-class OrNode:
-    key: OrKey
-    V: float
-    N: int
-    expanded: bool
-    v_pi: float
-    v_boot: float
-    prior: np.ndarray | None  # over candidate_subgoals order (∅ first)
-
-
-@dataclass
-class AndNode:
-    key: AndKey
-    N: int
-
-
 class BudgetExhausted(Exception):
     """Raised by expand_node when no budget remains; signals termination."""
 
 
-@dataclass
 class SearchTree:
-    root: OrKey
-    budget_max: int
-    max_depth: int
-    or_nodes: dict[OrKey, OrNode] = field(default_factory=dict)
-    and_nodes: dict[AndKey, AndNode] = field(default_factory=dict)
-    budget_used: int = 0
-    # Planning context attached by run_search so that training-target
-    # computation can score unexpanded children the way Select did.
-    context: object | None = None
+    def __init__(self, root: OrKey, budget_max: int, max_depth: int, cells: Sequence[StateId]):
+        self.root = root
+        self.budget_max = budget_max
+        self.max_depth = max_depth
+        self.cells = tuple(cells)
+        self.n = n = len(self.cells)
+        self.V = np.full((n, n), np.nan)
+        self.N = np.zeros((n, n), dtype=np.int64)
+        self.and_counts: dict[int, np.ndarray] = {}
+        self.budget_used = 0
+        # Planning context attached by run_search so that extraction and
+        # training targets can score unexpanded children the way Select did.
+        self.context = None
 
 
-def expand_node(
-    tree: SearchTree, key: OrKey, v_pi: float, v_boot: float, prior: np.ndarray
-) -> float:
-    """Store an expanded node with V = max(v_pi, v_boot), N = 0.
+def expand_node(tree: SearchTree, i: int, j: int, v_pi: float, v_boot: float) -> float:
+    """Expand the key (i, j) with V = max(v_pi, v_boot), N = 0.
 
     Consumes one unit of budget; raises BudgetExhausted (tree unchanged)
     when none remains and ValueError on duplicate expansion.
     """
-    if key in tree.or_nodes:
-        raise ValueError(f"node {key} already expanded")
+    f = i * tree.n + j
+    if f in tree.and_counts:
+        raise ValueError(f"node {(i, j)} already expanded")
     if tree.budget_used >= tree.budget_max:
-        raise BudgetExhausted(key)
+        raise BudgetExhausted((i, j))
     v0 = max(v_pi, v_boot)
-    tree.or_nodes[key] = OrNode(
-        key=key, V=v0, N=0, expanded=True, v_pi=v_pi, v_boot=v_boot, prior=prior
-    )
+    tree.V[i, j] = v0
+    tree.and_counts[f] = np.zeros(tree.n + 1, dtype=np.int64)
     tree.budget_used += 1
     return v0
 
 
-def update_or_stats(tree: SearchTree, key: OrKey, G: float) -> tuple[float, int]:
-    """Running-average update: V <- (V*N + G)/(N+1), N <- N+1."""
-    node = tree.or_nodes.get(key)
-    if node is None or not node.expanded:
-        raise ValueError(f"update on unexpanded node {key}")
-    node.V = (node.V * node.N + G) / (node.N + 1)
-    node.N += 1
-    return node.V, node.N
+def update_or_stats(tree: SearchTree, i: int, j: int, G: float) -> tuple[float, int]:
+    """Running-average update of the key (i, j): V <- (V*N + G)/(N+1), N <- N+1."""
+    v = tree.V.item(i, j)
+    if math.isnan(v):
+        raise ValueError(f"update on unexpanded node {(i, j)}")
+    n = tree.N.item(i, j)
+    v = (v * n + G) / (n + 1)
+    tree.V[i, j] = v
+    tree.N[i, j] = n + 1
+    return v, n + 1
 
 
-def touch_and_node(tree: SearchTree, key: AndKey) -> int:
-    """Create the AND node on first touch, then count one visit."""
-    node = tree.and_nodes.get(key)
-    if node is None:
-        node = AndNode(key=key, N=0)
-        tree.and_nodes[key] = node
-    node.N += 1
-    return node.N
+def touch_and_node(tree: SearchTree, i: int, j: int, pick: int) -> None:
+    """Count one visit of the split pick (0 for ∅, x + 1 for cells[x]) of
+    the expanded key (i, j)."""
+    try:
+        tree.and_counts[i * tree.n + j][pick] += 1
+    except KeyError:
+        raise ValueError(f"split of unexpanded node {(i, j)}") from None
 
 
-def candidate_subgoals(task: Task, key: OrKey | None = None) -> list[SubGoal]:
-    """∅ followed by all empty cells of the maze in row-major order.
-
-    The list is the same for every key of a maze; the key parameter is part
-    of the interface for symmetry with per-node queries.
-    """
-    return [None, *task.maze.empty_cells]
+def candidate_subgoals(maze: Maze) -> list[SubGoal]:
+    """∅ followed by all empty cells of the maze in row-major order: the
+    split candidates of every key."""
+    return [None, *maze.empty_cells]
 
 
 def format_subgoal(mid: SubGoal) -> str:
@@ -156,38 +126,39 @@ def parse_subgoal(text: str) -> SubGoal:
     return None if text == "∅" else parse_cell(text)
 
 
-def _fmt_stat(x: float) -> str:
-    return repr(float(x))
-
-
 def dump_tree(tree: SearchTree) -> str:
     """Line-oriented dump: OR lines then AND lines, each sorted by key."""
+    cells, n = tree.cells, tree.n
+    keys = sorted(tree.and_counts)
     lines = []
-    for key in sorted(tree.or_nodes):
-        n = tree.or_nodes[key]
-        expanded = "true" if n.expanded else "false"
+    for f in keys:
+        i, j = divmod(f, n)
         lines.append(
-            f"OR {format_cell(key.s)} {format_cell(key.s2)} {_fmt_stat(n.V)} {n.N} {expanded}"
+            f"OR {format_cell(cells[i])} {format_cell(cells[j])} "
+            f"{float(tree.V[i, j])!r} {tree.N[i, j]} true"
         )
-    def and_sort(k: AndKey):
-        return (k.s, k.mid if k.mid is not None else NULL_SORT_KEY, k.s2)
-    for key in sorted(tree.and_nodes, key=and_sort):
-        n = tree.and_nodes[key]
+    splits = sorted(
+        (f // n, int(pick), f % n) for f in keys for pick in np.flatnonzero(tree.and_counts[f])
+    )
+    for i, pick, j in splits:
+        mid = None if pick == 0 else cells[pick - 1]
         lines.append(
-            f"AND {format_cell(key.s)} {format_subgoal(key.mid)} {format_cell(key.s2)} {n.N}"
+            f"AND {format_cell(cells[i])} {format_subgoal(mid)} {format_cell(cells[j])} "
+            f"{tree.and_counts[i * n + j][pick]}"
         )
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def load_tree_dump(text: str, root: OrKey | None = None) -> SearchTree:
-    """Rebuild node statistics from a dump.
+    """Rebuild node statistics from a dump, over the cells it names.
 
     Dumps carry statistics only: priors and cached values are not recorded,
     and the root task is not marked, so pass it explicitly when it matters;
     otherwise the first (lexicographically smallest) OR key stands in.
+    Raises ValueError for anything dump_tree cannot have written.
     """
-    or_nodes: dict[OrKey, OrNode] = {}
-    and_nodes: dict[AndKey, AndNode] = {}
+    ors: dict[OrKey, tuple[float, int]] = {}
+    ands: dict[tuple[StateId, SubGoal, StateId], int] = {}
     for line in text.splitlines():
         parts = line.split()
         if not parts:
@@ -196,37 +167,45 @@ def load_tree_dump(text: str, root: OrKey | None = None) -> SearchTree:
             if len(parts) != 6:
                 raise ValueError(f"bad OR line: {line!r}")
             key = OrKey(parse_cell(parts[1]), parse_cell(parts[2]))
-            if parts[5] not in ("true", "false"):
-                raise ValueError(f"bad expanded flag: {line!r}")
-            node = OrNode(
-                key=key,
-                V=float(parts[3]),
-                N=int(parts[4]),
-                expanded=parts[5] == "true",
-                v_pi=math.nan,
-                v_boot=math.nan,
-                prior=None,
-            )
-            if key in or_nodes:
+            V, N = float(parts[3]), int(parts[4])
+            if not 0.0 <= V <= 1.0:
+                raise ValueError(f"OR value outside [0, 1]: {line!r}")
+            if N < 0:
+                raise ValueError(f"negative OR visit count: {line!r}")
+            if parts[5] != "true":
+                raise ValueError(f"bad expanded flag (dumps hold expanded nodes only): {line!r}")
+            if key in ors:
                 raise ValueError(f"duplicate OR key: {line!r}")
-            or_nodes[key] = node
+            ors[key] = (V, N)
         elif parts[0] == "AND":
             if len(parts) != 5:
                 raise ValueError(f"bad AND line: {line!r}")
-            key = AndKey(parse_cell(parts[1]), parse_subgoal(parts[2]), parse_cell(parts[3]))
-            if key in and_nodes:
+            akey = (parse_cell(parts[1]), parse_subgoal(parts[2]), parse_cell(parts[3]))
+            count = int(parts[4])
+            if count < 1:
+                raise ValueError(f"AND visit count below 1: {line!r}")
+            if akey in ands:
                 raise ValueError(f"duplicate AND key: {line!r}")
-            and_nodes[key] = AndNode(key=key, N=int(parts[4]))
+            ands[akey] = count
         else:
             raise ValueError(f"bad tree dump line: {line!r}")
-    if not or_nodes:
+    if not ors:
         raise ValueError("tree dump contains no OR nodes")
+    for s, _, s2 in ands:
+        if (s, s2) not in ors:
+            raise ValueError(f"AND node under a missing OR node {format_cell(s)} {format_cell(s2)}")
     if root is None:
-        root = min(or_nodes)
-    elif root not in or_nodes:
+        root = min(ors)
+    elif root not in ors:
         raise ValueError(f"root {root} not present in dump")
-    tree = SearchTree(root=root, budget_max=len(or_nodes), max_depth=0)
-    tree.or_nodes = or_nodes
-    tree.and_nodes = and_nodes
-    tree.budget_used = sum(1 for n in or_nodes.values() if n.expanded)
+    cells = sorted({*(c for k in ors for c in k), *(m for _, m, _ in ands if m is not None)})
+    index = {c: k for k, c in enumerate(cells)}
+    tree = SearchTree(root=root, budget_max=len(ors), max_depth=0, cells=cells)
+    for (s, s2), (V, N) in ors.items():
+        i, j = index[s], index[s2]
+        expand_node(tree, i, j, V, V)
+        tree.N[i, j] = N
+    for (s, mid, s2), count in ands.items():
+        pick = 0 if mid is None else index[mid] + 1
+        tree.and_counts[index[s] * tree.n + index[s2]][pick] = count
     return tree

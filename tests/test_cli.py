@@ -279,6 +279,17 @@ class TestValidateAndMisc:
         code, _ = run_cli("validate", str(bad), capsys=capsys)
         assert code == 2
 
+    def test_validate_rejects_impossible_tree_dumps(self, tmp_path, capsys):
+        # a negative visit count, an unexpanded node, a split under a
+        # missing sub-task: parse fine, but no search writes them
+        for k, text in enumerate(("OR 1,1 2,2 0.5 -3 true\n",
+                                  "OR 1,1 2,2 0.5 0 false\n",
+                                  "OR 1,1 2,2 0.5 1 true\nAND 1,1 ∅ 3,3 1\n")):
+            bad = tmp_path / f"dump{k}.txt"
+            bad.write_text(text, encoding="utf-8")
+            code, _ = run_cli("validate", str(bad), capsys=capsys)
+            assert code == 2, text
+
     def test_unknown_subcommand_is_usage_error(self):
         assert run_cli("frobnicate")[0] == 1
 

@@ -84,7 +84,7 @@ class TestFeatures:
     def test_prior_feature_shape_and_null_flag(self):
         maze = generate_maze(7, 7, 0.5, seed=2)
         task = Task(maze, maze.empty_cells[0], maze.empty_cells[-1])
-        cands = candidate_subgoals(task)
+        cands = candidate_subgoals(task.maze)
         X = prior_features(maze.cells, task.start, task.goal, cands)
         assert X.shape == (len(cands), PRIOR_DIM)
         assert X[0, 0] == 1.0
@@ -121,7 +121,7 @@ class TestFreshModel:
         model = TrainableModel(hidden=8, seed=0)
         maze = generate_maze(5, 5, 0.5, seed=3)
         task = Task(maze, maze.empty_cells[0], maze.empty_cells[-1])
-        cands = candidate_subgoals(task)
+        cands = candidate_subgoals(task.maze)
         p = model.prior(task, OrKey(task.start, task.goal), cands)
         assert np.allclose(p, 1.0 / len(cands), atol=1e-15)
 
@@ -132,7 +132,7 @@ class TestFreshModel:
         model.params["prior_b2"] = rng.normal(0, 1.0, 1)
         maze = row_maze(4)
         task = Task(maze, cell(0, 0), cell(0, 3))
-        cands = candidate_subgoals(task)
+        cands = candidate_subgoals(task.maze)
         z = model.prior_logits(maze.cells, task.start, task.goal, cands)
         zs = z - z.max()
         flat = np.exp(zs) / np.exp(zs).sum()  # temperature-1 softmax
@@ -147,7 +147,7 @@ class TestFreshModel:
         heur = UntrainedHeuristics()
         pairs = np.array([[0, 0, 0, 2]])
         assert np.all(heur.values(maze, pairs) == 0.0)
-        cands = candidate_subgoals(task)
+        cands = candidate_subgoals(task.maze)
         assert np.allclose(heur.prior(task, OrKey(task.start, task.goal), cands), 0.25)
 
     def test_optimizer_validated(self):
@@ -330,16 +330,25 @@ def built_tree():
     maze = row_maze(3)
     task = Task(maze, cell(0, 0), cell(0, 2))
     cfg = PlannerConfig(budget=10, seed=0)
-    ctx = PlanningContext(task, VhatStub(0.35), cfg)
-    tree = SearchTree(root=OrKey(task.start, task.goal), budget_max=10, max_depth=8)
-    tree.context = ctx
+    tree = search_tree(task, 10)
+    ctx = PlanningContext(tree, task, VhatStub(0.35), cfg)
     for key in (tree.root, OrKey(cell(0, 0), cell(0, 1)), OrKey(cell(0, 1), cell(0, 2))):
-        v0 = expand_node(tree, key, ctx.vpi_key(key), ctx.vhat_key(key), ctx.prior_key(key))
-        ctx.on_expand(tree, key, v0)
+        expand(ctx, tree, key)
     for g in (0.5, 0.7):
-        v, _ = update_or_stats(tree, tree.root, g)
-        ctx.on_update(tree.root, v)
+        v, _ = update_or_stats(tree, *ctx.kidx(tree.root), g)
+        ctx.Q[ctx.kidx(tree.root)] = v
     return tree, task
+
+
+def search_tree(task, budget):
+    return SearchTree(root=OrKey(task.start, task.goal), budget_max=budget, max_depth=8,
+                      cells=task.maze.empty_cells)
+
+
+def expand(ctx, tree, key):
+    """Expand key the way the planner does, keeping ctx.Q in step."""
+    i, j = ctx.kidx(key)
+    ctx.Q[i, j] = expand_node(tree, i, j, float(ctx.v_pi[i, j]), ctx.vhat(i, j))
 
 
 class TestTargets:
@@ -355,7 +364,7 @@ class TestTargets:
     def test_prior_targets_follow_select_weights(self):
         tree, task = built_tree()
         target = prior_targets_from_tree(tree, tree.root)
-        v_root = tree.or_nodes[tree.root].V
+        v_root = float(tree.V[tree.context.kidx(tree.root)])
         w = np.array([0.0, v_root, 1.0, v_root])
         assert np.allclose(target, w / w.sum(), atol=1e-15)
         assert target[0] == 0.0
@@ -373,19 +382,18 @@ class TestTargets:
                 return s
 
         cfg = PlannerConfig(budget=5, seed=0)
-        ctx = PlanningContext(task, VhatStub(0.0), cfg, DeadPolicy())
-        tree = SearchTree(root=OrKey(task.start, task.goal), budget_max=5, max_depth=8)
-        tree.context = ctx
-        v0 = expand_node(tree, tree.root, ctx.vpi_key(tree.root),
-                         ctx.vhat_key(tree.root), ctx.prior_key(tree.root))
-        ctx.on_expand(tree, tree.root, v0)
+        tree = search_tree(task, 5)
+        ctx = PlanningContext(tree, task, VhatStub(0.0), cfg, DeadPolicy())
+        expand(ctx, tree, tree.root)
         assert prior_targets_from_tree(tree, tree.root) is None
 
     def test_prior_targets_error_paths(self):
         tree, task = built_tree()
         with pytest.raises(ValueError):
             prior_targets_from_tree(tree, OrKey(cell(0, 1), cell(0, 0)))  # unexpanded
-        bare = SearchTree(root=tree.root, budget_max=1, max_depth=8)
+        with pytest.raises(ValueError):
+            prior_targets_from_tree(tree, OrKey(cell(0, 0), cell(2, 2)))  # off the maze
+        bare = search_tree(task, 1)
         with pytest.raises(ValueError):
             prior_targets_from_tree(bare, tree.root)
 

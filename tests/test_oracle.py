@@ -398,7 +398,7 @@ class TestExactHeuristics:
         from subplan.tree import OrKey, candidate_subgoals
 
         key = OrKey(task.start, task.goal)
-        cands = candidate_subgoals(task)
+        cands = candidate_subgoals(task.maze)
         p = heur.prior(task, key, cands)
         assert p.shape == (4,)
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
@@ -419,5 +419,5 @@ class TestExactHeuristics:
         from subplan.tree import OrKey, candidate_subgoals
 
         key = OrKey(cell(0, 0), cell(0, 2))
-        p = heur.prior(task, key, candidate_subgoals(task))
+        p = heur.prior(task, key, candidate_subgoals(task.maze))
         assert np.allclose(p, 0.25, atol=1e-12)

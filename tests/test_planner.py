@@ -21,6 +21,7 @@ from subplan.planner import (
     MODES,
     PlannerConfig,
     PlanningContext,
+    _argmax_with_ties,
     _TieBreaker,
     _traverse,
     descend_one,
@@ -28,17 +29,13 @@ from subplan.planner import (
     plan_objective,
     plan_result_json,
     run_search,
-    select_child,
     selection_scores,
-    traverse,
 )
 from subplan.tree import (
-    AndKey,
     OrKey,
     SearchTree,
     dump_tree,
     expand_node,
-    load_tree_dump,
     touch_and_node,
     update_or_stats,
 )
@@ -104,30 +101,55 @@ class StubHeuristics:
 
 
 def make_search(task, heuristics, config, low_level=None):
-    """A fresh tree + context with the root expanded, for handcrafted tests."""
-    ctx = PlanningContext(task, heuristics, config, low_level)
+    """A fresh tree with its context attached, for handcrafted tests."""
     tree = SearchTree(root=OrKey(task.start, task.goal), budget_max=config.budget,
-                      max_depth=config.max_depth)
-    tree.context = ctx
-    return tree, ctx
+                      max_depth=config.max_depth, cells=task.maze.empty_cells)
+    return tree, PlanningContext(tree, task, heuristics, config, low_level)
 
 
 def expand(tree, ctx, key):
-    v0 = expand_node(tree, key, ctx.vpi_key(key), ctx.vhat_key(key), ctx.prior_key(key))
-    ctx.on_expand(tree, key, v0)
+    """Expand key the way _traverse does, keeping ctx.Q in step."""
+    i, j = ctx.kidx(key)
+    v0 = expand_node(tree, i, j, float(ctx.v_pi[i, j]), ctx.vhat(i, j))
+    ctx.Q[i, j] = v0
     return v0
 
 
 def update(tree, ctx, key, g):
-    v, n = update_or_stats(tree, key, g)
-    ctx.on_update(key, v)
+    i, j = ctx.kidx(key)
+    v, n = update_or_stats(tree, i, j, g)
+    ctx.Q[i, j] = v
     return v, n
 
 
 def touch(tree, ctx, key, mid):
-    touch_and_node(tree, AndKey(key.s, mid, key.s2))
-    idx = 0 if mid is None else ctx.index[mid] + 1
-    ctx.and_counts[key][idx] += 1
+    touch_and_node(tree, *ctx.kidx(key), 0 if mid is None else ctx.index[mid] + 1)
+
+
+def keys(tree) -> list[OrKey]:
+    """The expanded keys of a tree, in key order."""
+    return [OrKey(tree.cells[f // tree.n], tree.cells[f % tree.n]) for f in sorted(tree.and_counts)]
+
+
+def stats(tree, key) -> tuple[float, int]:
+    """(V, N) of an expanded key."""
+    i, j = tree.context.kidx(key)
+    assert i * tree.n + j in tree.and_counts
+    return float(tree.V[i, j]), int(tree.N[i, j])
+
+
+def vpi(ctx, key) -> float:
+    return float(ctx.v_pi[ctx.kidx(key)])
+
+
+def scores(tree, key, c_puct):
+    return selection_scores(tree, *tree.context.kidx(key), c_puct)
+
+
+def select(tree, key, c_puct, rng):
+    """The sub-goal Select picks at key, ties broken with rng."""
+    pick = _argmax_with_ties(scores(tree, key, c_puct), lambda _, n: int(rng.integers(n)), 0)
+    return tree.context.candidates[pick]
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +214,6 @@ class TestSelect:
 
     def test_hand_computed_score_table(self):
         tree, ctx, root = self.build_updated_root()
-        node = tree.or_nodes[root]
         # exploitation by hand: ∅ -> v_pi(root)=0; mids use expanded V where
         # present (root itself V=0.6 after updates 0.5, 0.7) and the
         # bootstrap max(v_pi, 0.35) elsewhere.
@@ -206,20 +227,17 @@ class TestSelect:
             math.sqrt(2.0) / (1.0 + np.array([1, 0, 1, 0]))
         )
         expected = exploit + explore
-        got = selection_scores(node, ctx.and_counts[root], 5.0, ctx)
+        got = scores(tree, root, 5.0)
         assert np.max(np.abs(got - expected)) <= 1e-12
 
-        pick = select_child(node, ctx.and_counts[root], 5.0,
-                            np.random.default_rng(0), ctx)
+        pick = select(tree, root, 5.0, np.random.default_rng(0))
         assert pick == cell(0, 2)  # argmax of the hand table
 
     def test_c_zero_reduces_to_exploitation(self):
         tree, ctx, root = self.build_updated_root()
-        node = tree.or_nodes[root]
-        got = selection_scores(node, ctx.and_counts[root], 0.0, ctx)
+        got = scores(tree, root, 0.0)
         assert np.allclose(got, [0.0, 0.6, 1.0, 0.6], atol=1e-12)
-        pick = select_child(node, ctx.and_counts[root], 0.0,
-                            np.random.default_rng(0), ctx)
+        pick = select(tree, root, 0.0, np.random.default_rng(0))
         assert pick == cell(0, 1)
 
     def test_unvisited_node_scores_exploitation_only(self):
@@ -229,9 +247,8 @@ class TestSelect:
         cfg = PlannerConfig(budget=10, c_puct=5.0)
         tree, ctx = make_search(task, StubHeuristics(vhat=0.35), cfg)
         expand(tree, ctx, tree.root)
-        node = tree.or_nodes[tree.root]
-        got = selection_scores(node, ctx.and_counts[tree.root], 5.0, ctx)
-        exploit = selection_scores(node, ctx.and_counts[tree.root], 0.0, ctx)
+        got = scores(tree, tree.root, 5.0)
+        exploit = scores(tree, tree.root, 0.0)
         assert np.array_equal(got, exploit)
 
     def test_prior_breaks_equal_products(self):
@@ -248,13 +265,11 @@ class TestSelect:
         update(tree, ctx, root, 0.5)
         update(tree, ctx, root, 0.5)
         update(tree, ctx, root, 0.5)
-        node = tree.or_nodes[root]
-        counts = ctx.and_counts[root]
-        assert node.N == 4
-        scores = selection_scores(node, counts, 5.0, ctx)
+        assert stats(tree, root)[1] == 4
+        got = scores(tree, root, 5.0)
         # (0,1) and (0,2) tie on exploitation (bootstrap products), differ on prior
-        assert scores[2] > scores[3]
-        pick = select_child(node, counts, 5.0, np.random.default_rng(0), ctx)
+        assert got[2] > got[3]
+        pick = select(tree, root, 5.0, np.random.default_rng(0))
         assert pick == cell(0, 1)
 
     def test_equal_scores_pick_least_visited(self):
@@ -271,17 +286,12 @@ class TestSelect:
         touch(tree, ctx, root, None)
         touch(tree, ctx, root, cell(0, 0))
         touch(tree, ctx, root, cell(0, 1))
-        node = tree.or_nodes[root]
-        scores = selection_scores(node, ctx.and_counts[root], 5.0, ctx)
-        mids = scores[1:]
+        got = scores(tree, root, 5.0)
+        mids = got[1:]
         # ∅ exploits v_pi=0, so the unvisited mids (0,2), (0,3) are the argmax set
-        assert np.argmax(scores) in (3, 4)
+        assert np.argmax(got) in (3, 4)
         assert mids[2] == mids[3] > mids[0] == mids[1]
-        picks = {
-            select_child(node, ctx.and_counts[root], 5.0,
-                         np.random.default_rng(s), ctx)
-            for s in range(20)
-        }
+        picks = {select(tree, root, 5.0, np.random.default_rng(s)) for s in range(20)}
         assert picks == {cell(0, 2), cell(0, 3)}
 
 
@@ -295,10 +305,7 @@ def graded_row_setup(values, n, heur_prior=None, heur_prior_map=None, **cfg_kw):
     pol = PairValues(values)
     heur = StubHeuristics(vhat=0.0, prior=heur_prior, prior_map=heur_prior_map)
     cfg = PlannerConfig(**{"budget": 50, "seed": 0, **cfg_kw})
-    ctx = PlanningContext(task, heur, cfg, pol)
-    tree = SearchTree(root=OrKey(task.start, task.goal), budget_max=cfg.budget,
-                      max_depth=cfg.max_depth)
-    tree.context = ctx
+    tree, ctx = make_search(task, heur, cfg, pol)
     return tree, ctx, task
 
 
@@ -309,7 +316,7 @@ class TestTraverse:
         g = _traverse(ctx, tree, *ctx.kidx(tree.root), 0, 1, tie)
         assert g == 0.0  # max(v_pi=0, vhat=0)
         assert tree.budget_used == 1
-        assert tree.or_nodes[tree.root].N == 0  # bootstrap pass: no update
+        assert stats(tree, tree.root)[1] == 0  # bootstrap pass: no update
 
     def test_adjacent_root_floor_keeps_value_one(self):
         maze = row_maze(2)
@@ -319,7 +326,7 @@ class TestTraverse:
         for _ in range(3):
             g = _traverse(ctx, tree, *ctx.kidx(tree.root), 0, 1, breaker.next_traversal())
             assert g == 1.0
-        assert tree.or_nodes[tree.root].V == 1.0
+        assert stats(tree, tree.root)[0] == 1.0
 
     def test_product_of_child_returns(self):
         # G_left=0.9, G_right=0.8, v_pi=0 -> G = 0.72
@@ -331,9 +338,9 @@ class TestTraverse:
         _traverse(ctx, tree, *ctx.kidx(tree.root), 0, 1, breaker.next_traversal())
         g = _traverse(ctx, tree, *ctx.kidx(tree.root), 0, 1, breaker.next_traversal())
         assert g == pytest.approx(0.72, abs=1e-15)
-        node = tree.or_nodes[tree.root]
-        assert node.V == pytest.approx(0.72, abs=1e-15)
-        assert node.N == 1
+        V, N = stats(tree, tree.root)
+        assert V == pytest.approx(0.72, abs=1e-15)
+        assert N == 1
 
     def test_depth_cap_returns_v_pi(self):
         # 1x5 row where (a,c) decomposes through b for 0.81 but is worth 0.3
@@ -353,10 +360,10 @@ class TestTraverse:
             for _ in range(6):
                 _traverse(ctx, tree, *ctx.kidx(tree.root), 0, 1, breaker.next_traversal())
         sub = OrKey(a, c)
-        assert capped.or_nodes[sub].V == pytest.approx(0.3, abs=1e-12)
-        assert deep.or_nodes[sub].V == pytest.approx(0.81, abs=1e-12)
+        assert stats(capped, sub)[0] == pytest.approx(0.3, abs=1e-12)
+        assert stats(deep, sub)[0] == pytest.approx(0.81, abs=1e-12)
         # the depth-capped node still got selected and counted
-        assert capped.or_nodes[sub].N > 0
+        assert stats(capped, sub)[1] > 0
 
     def test_budget_exhaustion_completes_with_bootstrap(self):
         a, b, c = cell(0, 0), cell(0, 1), cell(0, 2)
@@ -369,25 +376,53 @@ class TestTraverse:
         # left child took the last budget unit; right was evaluated as
         # bootstrap max(v_pi=0.8, vhat=0) without being expanded
         assert tree.budget_used == 2
-        assert OrKey(a, b) in tree.or_nodes
-        assert OrKey(b, c) not in tree.or_nodes
+        assert OrKey(a, b) in keys(tree)
+        assert OrKey(b, c) not in keys(tree)
         assert g == pytest.approx(0.72, abs=1e-15)
-        assert tree.or_nodes[tree.root].N == 1  # the update still happened
+        assert stats(tree, tree.root)[1] == 1  # the update still happened
 
-    def test_public_traverse_on_loaded_dump_matches_in_memory(self):
-        maze = generate_maze(7, 7, 0.4, seed=5)
-        task = sample_task(maze, seed=2)
-        heur = StubHeuristics()
-        cfg = PlannerConfig(budget=15, seed=3)
-        r1 = run_search(task, heur, cfg)
-        r2 = run_search(task, heur, cfg)
-        loaded = load_tree_dump(dump_tree(r2.tree), root=r2.tree.root)
-        g_mem = traverse(r1.tree, task, r1.tree.root, 0, heur, cfg,
-                         np.random.default_rng(9))
-        g_load = traverse(loaded, task, loaded.root, 0, heur, cfg,
-                          np.random.default_rng(9))
-        assert g_mem == g_load
-        assert dump_tree(r1.tree) == dump_tree(loaded)
+
+# ---------------------------------------------------------------------------
+# priors
+
+
+class CountingHeuristics(StubHeuristics):
+    """StubHeuristics that records the key of every prior call."""
+
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        self.prior_calls = []
+
+    def prior(self, task, key, candidates):
+        self.prior_calls.append(key)
+        return super().prior(task, key, candidates)
+
+
+class TestLazyPrior:
+    def test_budget_one_computes_no_prior(self):
+        maze = generate_maze(9, 9, 0.6, seed=1)
+        heur = CountingHeuristics(vhat=0.3)
+        res = run_search(sample_task(maze, 1), heur, PlannerConfig(budget=1))
+        assert res.budget_used == 1
+        assert heur.prior_calls == []
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_prior_once_per_key_selected_after_a_visit(self, mode):
+        # Select reads a key's prior only at N >= 1, and that visit makes
+        # N >= 2; a key expanded and never revisited needs no prior
+        maze = generate_maze(9, 9, 0.6, seed=3)
+        heur = CountingHeuristics(vhat=0.3)
+        res = run_search(sample_task(maze, 3), heur, PlannerConfig(budget=60, mode=mode, seed=3))
+        assert heur.prior_calls
+        assert len(set(heur.prior_calls)) == len(heur.prior_calls)
+        for key in heur.prior_calls:
+            assert stats(res.tree, key)[1] >= 2
+
+    def test_no_prior_without_exploration(self):
+        maze = generate_maze(9, 9, 0.6, seed=3)
+        heur = CountingHeuristics(vhat=0.3)
+        run_search(sample_task(maze, 3), heur, PlannerConfig(budget=60, c_puct=0.0))
+        assert heur.prior_calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -402,41 +437,40 @@ class TestBookkeeping:
 
     def test_and_visits_match_or_updates(self):
         for seed in range(8):
-            res = self.run_random_search(seed)
-            tree = res.tree
-            sums: dict[OrKey, int] = {}
-            for akey, anode in tree.and_nodes.items():
-                sums[OrKey(akey.s, akey.s2)] = sums.get(OrKey(akey.s, akey.s2), 0) + anode.N
-            for key, node in tree.or_nodes.items():
-                assert sums.get(key, 0) == node.N
+            tree = self.run_random_search(seed).tree
+            for key in keys(tree):
+                i, j = tree.context.kidx(key)
+                assert tree.and_counts[i * tree.n + j].sum() == stats(tree, key)[1]
+            assert not tree.N[np.isnan(tree.V)].any()  # unexpanded keys have no visits
 
     def test_budget_counts_expansions_exactly(self):
         for seed in range(8):
             res = self.run_random_search(seed)
-            assert res.budget_used == len(res.tree.or_nodes)
+            assert res.budget_used == len(res.tree.and_counts)
+            assert res.budget_used == np.count_nonzero(~np.isnan(res.tree.V))
             assert res.budget_used <= 40
 
     def test_threshold_floor_after_search(self):
         for seed in range(8):
             res = self.run_random_search(seed)
             ctx = res.tree.context
-            for key, node in res.tree.or_nodes.items():
-                assert node.V >= ctx.vpi_key(key) - 1e-12
+            for key in keys(res.tree):
+                assert stats(res.tree, key)[0] >= vpi(ctx, key) - 1e-12
 
     def test_running_average_is_exact_mean(self, monkeypatch):
-        recorded: dict[OrKey, list[float]] = {}
+        recorded: dict[tuple[int, int], list[float]] = {}
         orig = planner_mod.update_or_stats
 
-        def recording(tree, key, g):
-            recorded.setdefault(key, []).append(g)
-            return orig(tree, key, g)
+        def recording(tree, i, j, g):
+            recorded.setdefault((i, j), []).append(g)
+            return orig(tree, i, j, g)
 
         monkeypatch.setattr(planner_mod, "update_or_stats", recording)
         res = self.run_random_search(3)
-        for key, gs in recorded.items():
-            node = res.tree.or_nodes[key]
-            assert node.N == len(gs)
-            assert node.V == pytest.approx(float(np.mean(gs)), abs=1e-12)
+        assert recorded
+        for (i, j), gs in recorded.items():
+            assert res.tree.N[i, j] == len(gs)
+            assert res.tree.V[i, j] == pytest.approx(float(np.mean(gs)), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -446,26 +480,29 @@ class TestBookkeeping:
 def select_values_form(ctx):
     """What every filled row and column of ctx.Q must hold: V where a key is
     expanded, the bootstrap max(v_pi, v_hat) elsewhere."""
-    return np.where(np.isnan(ctx.V_dense), np.maximum(ctx.v_pi, ctx._vhat), ctx.V_dense)
+    return np.where(np.isnan(ctx.V), np.maximum(ctx.v_pi, ctx._vhat), ctx.V)
 
 
-def scores_form(node, counts, c_puct, ctx):
-    """selection_scores as fresh arrays rebuilt from V_dense and v_hat."""
-    i, j = ctx.kidx(node.key)
+def scores_form(tree, key, c_puct):
+    """selection_scores as fresh arrays rebuilt from V and v_hat."""
+    ctx = tree.context
+    i, j = ctx.kidx(key)
     if ctx.config.mode == "sequential_right":
         left = ctx.v_pi[i].copy()
     else:
         ctx._fill_row(i)
-        row = ctx.V_dense[i]
+        row = ctx.V[i]
         left = np.where(np.isnan(row), np.maximum(ctx.v_pi[i], ctx._vhat[i]), row)
     ctx._fill_col(j)
-    col = ctx.V_dense[:, j]
+    col = ctx.V[:, j]
     right = np.where(np.isnan(col), np.maximum(ctx.v_pi[:, j], ctx._vhat[:, j]), col)
     exploit = np.empty(ctx.n + 1)
-    exploit[0] = node.v_pi
+    exploit[0] = ctx.v_pi[i, j]
     exploit[1:] = left * right
-    if c_puct > 0 and node.N > 0:
-        return exploit + c_puct * node.prior * (math.sqrt(node.N) / (1.0 + counts))
+    N = int(tree.N[i, j])
+    if c_puct > 0 and N > 0:
+        counts = tree.and_counts[i * ctx.n + j]
+        return exploit + c_puct * ctx.prior(i, j) * (math.sqrt(N) / (1.0 + counts))
     return exploit
 
 
@@ -489,16 +526,16 @@ class TestSelectMatrix:
         for _ in range(data.draw(st.integers(1, 25))):
             kind = data.draw(op)
             key = OrKey(ctx.cells[data.draw(cell_index)], ctx.cells[data.draw(cell_index)])
-            if kind in ("update", "touch") and tree.or_nodes:
-                key = data.draw(st.sampled_from(sorted(tree.or_nodes)))
-            if kind == "expand" and key not in tree.or_nodes:
+            if kind in ("update", "touch") and tree.and_counts:
+                key = data.draw(st.sampled_from(keys(tree)))
+            if kind == "expand" and key not in keys(tree):
                 expand(tree, ctx, key)
-            elif kind == "update" and key in tree.or_nodes:
+            elif kind == "update" and key in keys(tree):
                 update(tree, ctx, key, data.draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])))
-            elif kind == "touch" and key in tree.or_nodes:
+            elif kind == "touch" and key in keys(tree):
                 touch(tree, ctx, key, data.draw(st.sampled_from(ctx.candidates)))
             elif kind == "vhat":
-                ctx.vhat_key(key)
+                ctx.vhat(*ctx.kidx(key))
             elif kind == "row":
                 ctx._fill_row(ctx.kidx(key)[0])
             elif kind == "col":
@@ -510,10 +547,9 @@ class TestSelectMatrix:
                 assert ctx.Q[i].tobytes() == want[i].tobytes()
             for j in np.flatnonzero(ctx._vhat_cols):
                 assert ctx.Q[:, j].tobytes() == want[:, j].tobytes()
-            for k, node in tree.or_nodes.items():
+            for k in keys(tree):
                 for c in (0.0, 5.0, 2.5):  # 5.0 is the context's own c_puct
-                    got = selection_scores(node, ctx.and_counts[k], c, ctx)
-                    assert got.tobytes() == scores_form(node, ctx.and_counts[k], c, ctx).tobytes()
+                    assert scores(tree, k, c).tobytes() == scores_form(tree, k, c).tobytes()
 
     def test_fill_pairs_match_loop_form(self):
         maze = generate_maze(7, 5, 0.5, 1)
@@ -524,7 +560,7 @@ class TestSelectMatrix:
                 seen.append(pairs)
                 return super().values(maze, pairs)
 
-        ctx = PlanningContext(sample_task(maze, 1), Recording(vhat=0.3), PlannerConfig(budget=5))
+        _, ctx = make_search(sample_task(maze, 1), Recording(vhat=0.3), PlannerConfig(budget=5))
         ctx._fill_row(2)
         ctx._fill_col(4)
         a, b = ctx.cells[2], ctx.cells[4]
@@ -542,13 +578,13 @@ class TestSelectMatrix:
 
         def read_all():
             out = []
-            for k, node in tree.or_nodes.items():
-                out.append(selection_scores(node, ctx.and_counts[k], 5.0, ctx))
+            for k in keys(tree):
+                out.append(scores(tree, k, 5.0))
                 out.append(prior_targets_from_tree(tree, k))
             return [a for a in out if a is not None]
 
         def snapshot():
-            return [a.tobytes() for a in (ctx.V_dense, ctx._vhat, ctx.Q, ctx.v_pi)]
+            return [a.tobytes() for a in (tree.V, tree.N, ctx._vhat, ctx.Q, ctx.v_pi)]
 
         first = read_all()  # may fill rows and columns
         before = snapshot()
@@ -628,9 +664,7 @@ class TestExtraction:
         pol = PairValues(values)
         heur = StubHeuristics(vhat=0.99)  # optimistic everywhere
         cfg = PlannerConfig(budget=50, seed=0)
-        ctx = PlanningContext(task, heur, cfg, pol)
-        tree = SearchTree(root=OrKey(a, d), budget_max=50, max_depth=8)
-        tree.context = ctx
+        tree, ctx = make_search(task, heur, cfg, pol)
         expand(tree, ctx, tree.root)
         expand(tree, ctx, OrKey(a, c))   # V = 0.99 bootstrap, v_pi = 0
         expand(tree, ctx, OrKey(c, d))   # V = 0.99 bootstrap, v_pi = 0
@@ -658,7 +692,8 @@ class TestExtraction:
         assert g == pytest.approx(0.4 * 0.4, abs=1e-15)
 
     def test_extract_plan_requires_context(self):
-        tree = SearchTree(root=OrKey(cell(0, 0), cell(0, 2)), budget_max=5, max_depth=8)
+        tree = SearchTree(root=OrKey(cell(0, 0), cell(0, 2)), budget_max=5, max_depth=8,
+                          cells=row_maze(3).empty_cells)
         with pytest.raises(ValueError):
             extract_plan(tree, tree.root)
 
@@ -672,43 +707,47 @@ def reference_extract(ctx, tree, key, d):
     level values, candidates in row-major order, strict > against v_pi.
     Returns the solution node and the level dicts."""
     seq = ctx.config.mode == "sequential_right"
-    vpi = ctx.vpi_key
+    in_tree = keys(tree)
     left_anchor, right_anchor = {}, {}
-    for k in tree.or_nodes:
+    for k in in_tree:
         left_anchor.setdefault(k.s, set()).add(k.s2)
         right_anchor.setdefault(k.s2, set()).add(k.s)
     cands = {}
-    for k in tree.or_nodes:
+    for k in in_tree:
         pool = set(right_anchor.get(k.s2, ()))
         if not seq:
             pool |= left_anchor.get(k.s, set())
         cands[k] = sorted(x for x in pool if x != k.s and x != k.s2)
 
+    def vpi_of(k):
+        return vpi(ctx, k)
+
     def child(level, k):
-        return level[k] if k in level else vpi(k)
+        return level[k] if k in level else vpi_of(k)
 
     def split(level, k, x):
-        left = vpi(OrKey(k.s, x)) if seq else child(level, OrKey(k.s, x))
+        left = vpi_of(OrKey(k.s, x)) if seq else child(level, OrKey(k.s, x))
         return left * child(level, OrKey(x, k.s2))
 
     def best(level, k):
-        value, mid = vpi(k), None
+        value, mid = vpi_of(k), None
         for x in cands[k]:
             score = split(level, k, x)
             if score > value:
                 value, mid = score, x
         return value, mid
 
-    levels = [{k: vpi(k) for k in tree.or_nodes}]
+    levels = [{k: vpi_of(k) for k in in_tree}]
     for _ in range(tree.max_depth):
-        levels.append({k: best(levels[-1], k)[0] for k in tree.or_nodes})
+        levels.append({k: best(levels[-1], k)[0] for k in in_tree})
 
     def node(k, d):
-        mid = best(levels[d - 1], k)[1] if d > 0 and k in tree.or_nodes else None
+        mid = best(levels[d - 1], k)[1] if d > 0 and k in in_tree else None
         if mid is None:
-            return planner_mod.SolutionNode(key=k, G=vpi(k), terminal=True)
+            return planner_mod.SolutionNode(key=k, G=vpi_of(k), terminal=True)
         if seq:
-            left = planner_mod.SolutionNode(key=OrKey(k.s, mid), G=vpi(OrKey(k.s, mid)), terminal=True)
+            left = planner_mod.SolutionNode(key=OrKey(k.s, mid), G=vpi_of(OrKey(k.s, mid)),
+                                            terminal=True)
         else:
             left = node(OrKey(k.s, mid), d - 1)
         right = node(OrKey(mid, k.s2), d - 1)
@@ -783,13 +822,21 @@ class TestExtractionMatchesLoopForm:
         assert_levels_match(ctx, tree, want_levels)
 
     def test_extraction_leaves_no_cyclic_garbage(self):
+        # neither extraction nor a whole search (the tree and its context
+        # must not reference each other in a cycle) leaves work for the
+        # cycle collector
         maze = generate_maze(9, 9, 0.75, 3)
-        res = run_search(sample_task(maze, 3), UntrainedHeuristics(), PlannerConfig(budget=80))
+        task = sample_task(maze, 3)
+        heurs = (UntrainedHeuristics(), seeded_model(3))
+        res = run_search(task, heurs[0], PlannerConfig(budget=80))
         gc.collect()
         gc.disable()
         try:
             for _ in range(5):
                 extract_plan(res.tree, res.tree.root)
+            for heur in heurs:
+                for mode in MODES:
+                    run_search(task, heur, PlannerConfig(budget=80, mode=mode))
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -827,7 +874,7 @@ class TestRunSearch:
             prod = 1.0
             ctx = res.tree.context
             for leaf in leaves:
-                prod *= ctx.vpi_key(leaf.key)
+                prod *= vpi(ctx, leaf.key)
             assert res.plan.objective_L == pytest.approx(prod, abs=1e-12)
             assert res.returns[0][1] == pytest.approx(res.plan.objective_L, abs=1e-12)
             assert res.plan.objective_L <= res.returns[0][1] + 1e-12
@@ -901,7 +948,7 @@ class TestSequential:
             task = sample_task(maze, seed=seed + 50)
             res = run_search(task, StubHeuristics(vhat=0.3),
                              PlannerConfig(budget=30, seed=seed, mode="sequential_right"))
-            for key in res.tree.or_nodes:
+            for key in keys(res.tree):
                 assert key.s2 == task.goal
 
     def test_solution_tree_left_degenerate(self):
