@@ -11,12 +11,15 @@ finite-difference tests have no framework in the way.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from subplan.gridworld import (
     EMPTY,
@@ -26,7 +29,6 @@ from subplan.gridworld import (
     Maze,
     StateId,
     Task,
-    adjacent,
     default_step_limit,
     derive_seed,
     encode_task,
@@ -46,7 +48,6 @@ from subplan.tree import (
     OrKey,
     SearchTree,
     SubGoal,
-    candidate_subgoals,
     format_subgoal,
     parse_subgoal,
 )
@@ -73,72 +74,106 @@ class UntrainedHeuristics:
 # features
 
 PATCH = 5  # wall-occupancy window side length
-VALUE_DIM = 3 + 2 + 2 * PATCH * PATCH + 2
-PRIOR_DIM = 1 + 9 + 6 + 3 * PATCH * PATCH + 2
+PP = PATCH * PATCH
+VALUE_DIM = 3 + 2 + 2 * PP + 2
+PRIOR_DIM = 1 + 9 + 6 + 3 * PP + 2
+BOARD_CACHE_SIZE = 64  # boards whose wall patches and candidates stay cached
+
+# Prior feature columns that describe the candidate x; they are 0 on a ∅ row.
+_X_COLS = np.r_[1:7, 10, 11, 13, 14, 16 + PP : 16 + 2 * PP]
+_NO_CELL = (0, 0)  # where a ∅ row is computed before its _X_COLS are zeroed
 
 
-def _padded_walls(cells: np.ndarray) -> np.ndarray:
-    h = PATCH // 2
-    return np.pad((cells == WALL).astype(float), h, constant_values=1.0)
+class _Board(NamedTuple):
+    patches: np.ndarray  # (height, width, PP) read-only wall flags
+    candidates: tuple[SubGoal, ...]  # ∅, then the non-wall cells row-major
 
 
-def _patch(padded: np.ndarray, s: StateId) -> np.ndarray:
-    return padded[s.row : s.row + PATCH, s.col : s.col + PATCH].ravel()
+def _board(cells: np.ndarray) -> _Board:
+    """The cached _Board of a board's walls (its WALL entries)."""
+    walls = cells == WALL
+    return _board_of_walls(walls.shape, walls.tobytes())
 
 
-def _offsets(a: StateId, b: StateId, scale: float) -> list[float]:
-    dr = b.row - a.row
-    dc = b.col - a.col
-    return [dr / scale, dc / scale, (abs(dr) + abs(dc)) / scale]
+@functools.lru_cache(maxsize=BOARD_CACHE_SIZE)
+def _board_of_walls(shape: tuple[int, int], wall_bytes: bytes) -> _Board:
+    """Build the _Board of one wall layout; the last BOARD_CACHE_SIZE stay cached."""
+    walls = np.frombuffer(wall_bytes, dtype=bool).reshape(shape)
+    padded = np.pad(walls, PATCH // 2, constant_values=True)
+    patches = sliding_window_view(padded, (PATCH, PATCH)).reshape(*shape, PP)
+    patches.flags.writeable = False
+    rows, cols = np.nonzero(~walls)
+    return _Board(patches, (None, *map(StateId, rows.tolist(), cols.tolist())))
+
+
+def _pair_columns(out: np.ndarray, d: np.ndarray, scale: float) -> None:
+    """Write the columns of t cell pairs from their (k, t, 2) integer
+    offsets (dr, dc): out[:, :3t] holds (dr, dc, |dr| + |dc|) / scale per
+    pair, out[:, 3t:4t] the adjacent flags and out[:, 4t:5t] the equal flags."""
+    k, t, _ = d.shape
+    dist = np.abs(d).sum(axis=2, keepdims=True)
+    out[:, : 3 * t] = (np.concatenate((d, dist), axis=2) / scale).reshape(k, 3 * t)
+    dist = dist.reshape(k, t)
+    out[:, 3 * t : 4 * t] = dist == 1
+    out[:, 4 * t : 5 * t] = dist == 0
 
 
 def value_features(cells: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """(k, VALUE_DIM) features for rows (r1, c1, r2, c2)."""
+    """(k, VALUE_DIM) features for rows (r1, c1, r2, c2) of cells on the board.
+
+    Only the shape and the WALL entries of ``cells`` count, so a task
+    encoding gives the features of its maze.  A row holds the offsets
+    (dr, dc, |dr| + |dc|) over max(height, width), the adjacent and equal
+    flags, the PATCH×PATCH wall windows around both cells (off-board cells
+    count as walls) and the board size over 32.  The windows are gathered
+    from the board's patch tensor, which stays cached for the last
+    BOARD_CACHE_SIZE boards, keyed on their shape and wall bytes.
+    """
     height, width = cells.shape
-    scale = float(max(height, width))
-    padded = _padded_walls(cells)
-    out = np.empty((len(pairs), VALUE_DIM))
-    for k, (r1, c1, r2, c2) in enumerate(np.asarray(pairs)):
-        a = StateId(int(r1), int(c1))
-        b = StateId(int(r2), int(c2))
-        out[k, 0:3] = _offsets(a, b, scale)
-        out[k, 3] = 1.0 if adjacent(a, b) else 0.0
-        out[k, 4] = 1.0 if a == b else 0.0
-        out[k, 5 : 5 + PATCH * PATCH] = _patch(padded, a)
-        out[k, 5 + PATCH * PATCH : 5 + 2 * PATCH * PATCH] = _patch(padded, b)
-        out[k, -2] = height / 32.0
-        out[k, -1] = width / 32.0
+    patches = _board(cells).patches
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 4)
+    k = len(pairs)
+    out = np.empty((k, VALUE_DIM))
+    _pair_columns(out, (pairs[:, 2:] - pairs[:, :2]).reshape(k, 1, 2), float(max(height, width)))
+    out[:, 5 : 5 + 2 * PP] = patches[pairs[:, 0::2], pairs[:, 1::2]].reshape(k, 2 * PP)
+    out[:, -2:] = (height / 32.0, width / 32.0)
     return out
 
 
 def prior_features(
     cells: np.ndarray, s: StateId, s2: StateId, candidates: Sequence[SubGoal]
 ) -> np.ndarray:
-    """(len(candidates), PRIOR_DIM) features for sub-task (s, s'')."""
+    """(len(candidates), PRIOR_DIM) features for sub-task (s, s'').
+
+    A row holds the ∅ flag; the offsets of s → x, x → s'' and s → s''; the
+    adjacent flags and the equal flags of those three pairs; the wall
+    windows around s, x and s''; and the board size, each as in
+    value_features and from the same cached patch tensor.  On a ∅ row every
+    column about x is 0.
+    """
     height, width = cells.shape
-    scale = float(max(height, width))
-    padded = _padded_walls(cells)
-    pp = PATCH * PATCH
-    base = np.zeros(PRIOR_DIM)
-    base[7:10] = _offsets(s, s2, scale)
-    base[12] = 1.0 if adjacent(s, s2) else 0.0
-    base[15] = 1.0 if s == s2 else 0.0
-    base[16 + 0 * pp : 16 + 1 * pp] = _patch(padded, s)
-    base[16 + 2 * pp : 16 + 3 * pp] = _patch(padded, s2)
-    base[-2] = height / 32.0
-    base[-1] = width / 32.0
-    out = np.tile(base, (len(candidates), 1))
+    patches = _board(cells).patches
+    m = len(candidates)
+    xy = np.fromiter(
+        itertools.chain.from_iterable(_NO_CELL if x is None else x for x in candidates),
+        dtype=np.int64, count=2 * m,
+    ).reshape(m, 2)
+    ends = np.array((s, s2), dtype=np.int64)
+    d = np.empty((m, 3, 2), dtype=np.int64)
+    np.subtract(xy, ends[0], out=d[:, 0])
+    np.subtract(ends[1], xy, out=d[:, 1])
+    d[:, 2] = ends[1] - ends[0]
+    out = np.empty((m, PRIOR_DIM))
+    out[:, 0] = 0.0
+    _pair_columns(out[:, 1:16], d, float(max(height, width)))
+    out[:, 16 : 16 + PP] = patches[s]
+    out[:, 16 + PP : 16 + 2 * PP] = patches[xy[:, 0], xy[:, 1]]
+    out[:, 16 + 2 * PP : 16 + 3 * PP] = patches[s2]
+    out[:, -2:] = (height / 32.0, width / 32.0)
     for k, x in enumerate(candidates):
         if x is None:
-            out[k, 0] = 1.0  # the ∅ candidate
-            continue
-        out[k, 1:4] = _offsets(s, x, scale)
-        out[k, 4:7] = _offsets(x, s2, scale)
-        out[k, 10] = 1.0 if adjacent(s, x) else 0.0
-        out[k, 11] = 1.0 if adjacent(x, s2) else 0.0
-        out[k, 13] = 1.0 if s == x else 0.0
-        out[k, 14] = 1.0 if x == s2 else 0.0
-        out[k, 16 + 1 * pp : 16 + 2 * pp] = _patch(padded, x)
+            out[k, _X_COLS] = 0.0
+            out[k, 0] = 1.0
     return out
 
 
@@ -393,7 +428,7 @@ def train_step(model: TrainableModel, batch: dict) -> tuple[float, float]:
         X = np.concatenate(
             [
                 value_features(
-                    _maze_from_encoding(e.encoding).cells,
+                    e.encoding,
                     np.array([[e.key.s.row, e.key.s.col, e.key.s2.row, e.key.s2.col]]),
                 )
                 for e in value_entries
@@ -411,11 +446,10 @@ def train_step(model: TrainableModel, batch: dict) -> tuple[float, float]:
     if prior_entries:
         feats = []
         for e in prior_entries:
-            maze = _maze_from_encoding(e.encoding)
-            cands = candidate_subgoals(maze)
+            cands = _board(e.encoding).candidates
             if len(cands) != len(e.target):
                 raise ValueError("prior target length does not match candidates")
-            feats.append(prior_features(maze.cells, e.s, e.s2, cands))
+            feats.append(prior_features(e.encoding, e.s, e.s2, cands))
         X = np.concatenate(feats)
         z, A = model._head_forward("prior", X)
         dz = np.empty_like(z)
@@ -440,13 +474,6 @@ def train_step(model: TrainableModel, batch: dict) -> tuple[float, float]:
 
     _apply_gradients(model, grads)
     return prior_loss, value_loss
-
-
-def _maze_from_encoding(encoding: np.ndarray) -> Maze:
-    """The walls of a task encoding as a maze (start and goal become empty)."""
-    cells = np.where(np.asarray(encoding) == WALL, WALL, EMPTY).astype(np.uint8)
-    height, width = cells.shape
-    return Maze(width, height, cells, density=0.0, seed=-1)
 
 
 def _head_backward(model, grads, head, X, A, dz) -> None:

@@ -293,15 +293,24 @@ class ExactHeuristics:
 
     def __init__(self, table: ValueTable):
         self.table = table
+        rc = np.array(table.cells, dtype=np.int64).reshape(-1, 2)
+        # table index of each cell of the table's bounding grid, -1 elsewhere
+        self._grid = np.full(tuple(rc.max(axis=0, initial=-1) + 1), -1, dtype=np.int64)
+        self._grid[rc[:, 0], rc[:, 1]] = np.arange(len(rc))
 
     def values(self, maze: Maze, pairs: np.ndarray) -> np.ndarray:
-        idx = self.table.index
-        out = np.empty(len(pairs))
-        for k, (r1, c1, r2, c2) in enumerate(np.asarray(pairs)):
-            i = idx[StateId(int(r1), int(c1))]
-            j = idx[StateId(int(r2), int(c2))]
-            out[k] = self.table.values[i, j]
-        return out
+        """v* of each (r1, c1, r2, c2) row; a cell that is not one of the
+        table's cells (a wall, or off the board) is a ValueError."""
+        ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2, 2)
+        rows, cols = ends[:, :, 0], ends[:, :, 1]
+        height, width = self._grid.shape
+        on = (rows >= 0) & (rows < height) & (cols >= 0) & (cols < width)
+        idx = np.full(rows.shape, -1)
+        idx[on] = self._grid[rows[on], cols[on]]
+        if (idx < 0).any():
+            r, c = ends[idx < 0][0]
+            raise ValueError(f"cell ({r}, {c}) is not an empty cell of the value table")
+        return self.table.values[idx[:, 0], idx[:, 1]]
 
     def prior(self, task: Task, key, candidates) -> np.ndarray:
         i = self.table.index[key.s]

@@ -26,7 +26,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from subplan.gridworld import LowLevelPolicy, Pi0, StateId, Task, low_level_matrix
+from subplan.gridworld import LowLevelPolicy, Pi0, StateId, Task, format_cell, low_level_matrix
 from subplan.tree import (
     BudgetExhausted,
     OrKey,
@@ -552,6 +552,9 @@ def run_search(
     low_level: LowLevelPolicy | None = None,
 ) -> PlanResult:
     """Grow the tree by repeated traversals, then extract the best plan."""
+    for name, s in (("start", task.start), ("goal", task.goal)):
+        if not task.maze.is_empty(s):
+            raise ValueError(f"task {name} {format_cell(s)} is not an empty cell of the maze")
     root = OrKey(task.start, task.goal)
     tree = SearchTree(root=root, budget_max=config.budget, max_depth=config.max_depth,
                       cells=task.maze.empty_cells)

@@ -3,15 +3,21 @@ hindsight parsers, gradient correctness, persistence, and the training loop."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from subplan.gridworld import Maze, StateId, Task, encode_task, generate_maze, sample_task
+import subplan.heuristics as heuristics_module
+from subplan.gridworld import WALL, Maze, StateId, Task, adjacent, encode_task, generate_maze, sample_task
 from subplan.heuristics import (
+    BOARD_CACHE_SIZE,
     PARSER_KINDS,
+    PATCH,
     PRIOR_DIM,
     VALUE_DIM,
     EnvConfig,
@@ -70,6 +76,171 @@ class VhatStub:
 
 # ---------------------------------------------------------------------------
 # features
+
+
+def reference_patch(cells: np.ndarray, s: StateId) -> np.ndarray:
+    """The PATCH×PATCH wall window centred on s, off-board cells as walls."""
+    padded = np.pad((cells == WALL).astype(float), PATCH // 2, constant_values=1.0)
+    return padded[s.row : s.row + PATCH, s.col : s.col + PATCH].ravel()
+
+
+def reference_offsets(a: StateId, b: StateId, scale: float) -> list[float]:
+    dr = b.row - a.row
+    dc = b.col - a.col
+    return [dr / scale, dc / scale, (abs(dr) + abs(dc)) / scale]
+
+
+def reference_value_features(cells: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Loop form of value_features, one pair at a time."""
+    height, width = cells.shape
+    scale = float(max(height, width))
+    pp = PATCH * PATCH
+    out = np.empty((len(pairs), VALUE_DIM))
+    for k, (r1, c1, r2, c2) in enumerate(np.asarray(pairs)):
+        a = StateId(int(r1), int(c1))
+        b = StateId(int(r2), int(c2))
+        out[k, 0:3] = reference_offsets(a, b, scale)
+        out[k, 3] = 1.0 if adjacent(a, b) else 0.0
+        out[k, 4] = 1.0 if a == b else 0.0
+        out[k, 5 : 5 + pp] = reference_patch(cells, a)
+        out[k, 5 + pp : 5 + 2 * pp] = reference_patch(cells, b)
+        out[k, -2] = height / 32.0
+        out[k, -1] = width / 32.0
+    return out
+
+
+def reference_prior_features(cells, s: StateId, s2: StateId, candidates) -> np.ndarray:
+    """Loop form of prior_features, one candidate at a time."""
+    height, width = cells.shape
+    scale = float(max(height, width))
+    pp = PATCH * PATCH
+    base = np.zeros(PRIOR_DIM)
+    base[7:10] = reference_offsets(s, s2, scale)
+    base[12] = 1.0 if adjacent(s, s2) else 0.0
+    base[15] = 1.0 if s == s2 else 0.0
+    base[16 + 0 * pp : 16 + 1 * pp] = reference_patch(cells, s)
+    base[16 + 2 * pp : 16 + 3 * pp] = reference_patch(cells, s2)
+    base[-2] = height / 32.0
+    base[-1] = width / 32.0
+    out = np.tile(base, (len(candidates), 1))
+    for k, x in enumerate(candidates):
+        if x is None:
+            out[k, 0] = 1.0  # the ∅ candidate
+            continue
+        out[k, 1:4] = reference_offsets(s, x, scale)
+        out[k, 4:7] = reference_offsets(x, s2, scale)
+        out[k, 10] = 1.0 if adjacent(s, x) else 0.0
+        out[k, 11] = 1.0 if adjacent(x, s2) else 0.0
+        out[k, 13] = 1.0 if s == x else 0.0
+        out[k, 14] = 1.0 if x == s2 else 0.0
+        out[k, 16 + 1 * pp : 16 + 2 * pp] = reference_patch(cells, x)
+    return out
+
+
+@st.composite
+def boards(draw):
+    """A random board up to 15×15 (height and width drawn apart), its walls
+    drawn at a density that includes 0 and 1."""
+    height = draw(st.integers(1, 15))
+    width = draw(st.integers(1, 15))
+    density = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    cells = (rng.random((height, width)) < density).astype(np.uint8)
+    return cells, rng
+
+
+def on_board(rng, cells, k: int) -> np.ndarray:
+    """k random (row, col) cells of the board, walls included."""
+    height, width = cells.shape
+    return np.stack([rng.integers(0, height, k), rng.integers(0, width, k)], axis=1)
+
+
+def as_cell(rc) -> StateId:
+    return StateId(int(rc[0]), int(rc[1]))
+
+
+class TestFeaturesMatchLoopForm:
+    @settings(max_examples=150, deadline=None)
+    @given(boards(), st.integers(0, 40))
+    def test_value_features(self, board, k):
+        cells, rng = board
+        pairs = np.hstack([on_board(rng, cells, k), on_board(rng, cells, k)])
+        got = value_features(cells, pairs)
+        assert got.shape == (k, VALUE_DIM)
+        assert got.tobytes() == reference_value_features(cells, pairs).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(boards(), st.integers(0, 40), st.floats(0.0, 1.0))
+    def test_prior_features(self, board, m, null_share):
+        cells, rng = board
+        s, s2 = (as_cell(rc) for rc in on_board(rng, cells, 2))
+        cands = [None if rng.random() < null_share else as_cell(rc)
+                 for rc in on_board(rng, cells, m)]
+        got = prior_features(cells, s, s2, cands)
+        assert got.shape == (m, PRIOR_DIM)
+        assert got.tobytes() == reference_prior_features(cells, s, s2, cands).tobytes()
+
+    def test_empty_pair_array(self):
+        cells = generate_maze(7, 5, 0.5, seed=1).cells
+        pairs = np.empty((0, 4), dtype=np.int64)
+        got = value_features(cells, pairs)
+        assert got.shape == (0, VALUE_DIM)
+        assert got.tobytes() == reference_value_features(cells, pairs).tobytes()
+
+    def test_null_only_and_equal_ends(self):
+        maze = generate_maze(6, 9, 0.5, seed=4)
+        s = maze.empty_cells[3]
+        for cands in ([None], [None, s], [s, None, s]):
+            got = prior_features(maze.cells, s, s, cands)
+            assert got.tobytes() == reference_prior_features(maze.cells, s, s, cands).tobytes()
+        assert np.array_equal(prior_features(maze.cells, s, s, [None])[0, [0, 15]], [1.0, 1.0])
+
+    def test_boards_of_one_shape_do_not_share_features(self):
+        a = np.zeros((7, 7), dtype=np.uint8)
+        b = a.copy()
+        b[3, 4] = WALL
+        pairs = np.array([[3, 3, 3, 5]])
+        cands = [None, StateId(3, 4), StateId(2, 2)]
+        for cells in (a, b, a, b):
+            assert value_features(cells, pairs).tobytes() == \
+                reference_value_features(cells, pairs).tobytes()
+            assert prior_features(cells, StateId(3, 3), StateId(3, 5), cands).tobytes() == \
+                reference_prior_features(cells, StateId(3, 3), StateId(3, 5), cands).tobytes()
+        assert not np.array_equal(value_features(a, pairs), value_features(b, pairs))
+
+    def test_cells_changed_in_place_between_calls(self):
+        cells = np.zeros((5, 8), dtype=np.uint8)
+        pairs = np.array([[2, 2, 2, 3], [0, 0, 4, 7]])
+        before = value_features(cells, pairs)
+        cells[2, 4] = WALL
+        after = value_features(cells, pairs)
+        assert after.tobytes() == reference_value_features(cells, pairs).tobytes()
+        assert not np.array_equal(before, after)
+        cells[2, 4] = 0
+        assert value_features(cells, pairs).tobytes() == before.tobytes()
+
+    def test_encoding_gives_the_features_of_its_maze(self):
+        maze = generate_maze(9, 7, 0.75, seed=5)
+        task = sample_task(maze, seed=2)
+        enc = encode_task(task)
+        pairs = np.array([[task.start.row, task.start.col, task.goal.row, task.goal.col]])
+        cands = candidate_subgoals(maze)
+        assert value_features(enc, pairs).tobytes() == value_features(maze.cells, pairs).tobytes()
+        assert prior_features(enc, task.start, task.goal, cands).tobytes() == \
+            prior_features(maze.cells, task.start, task.goal, cands).tobytes()
+
+    def test_board_cache_is_bounded_and_read_only(self):
+        pairs = np.array([[0, 0, 1, 1]])
+        rng = np.random.default_rng(3)
+        for _ in range(BOARD_CACHE_SIZE + 10):
+            value_features((rng.random((6, 6)) < 0.5).astype(np.uint8), pairs)
+        assert heuristics_module._board_of_walls.cache_info().currsize == BOARD_CACHE_SIZE
+        board = heuristics_module._board(np.zeros((4, 6), dtype=np.uint8))
+        assert board.patches.shape == (4, 6, PATCH * PATCH)
+        assert not board.patches.flags.writeable
+        with pytest.raises(ValueError):
+            board.patches[0, 0, 0] = 1
 
 
 class TestFeatures:
@@ -419,7 +590,6 @@ def make_batch(maze: Maze, rng) -> dict:
 
 def manual_losses(params: dict, batch: dict) -> tuple[float, float]:
     """Independent forward pass and cross-entropy computation."""
-    from subplan.heuristics import _maze_from_encoding
 
     def head(prefix, X):
         A = np.tanh(X @ params[f"{prefix}_w1"] + params[f"{prefix}_b1"])
@@ -427,9 +597,9 @@ def manual_losses(params: dict, batch: dict) -> tuple[float, float]:
 
     value_loss = 0.0
     for e in batch["value"]:
-        walls = _maze_from_encoding(e.encoding).cells
-        X = value_features(walls, np.array([[e.key.s.row, e.key.s.col,
-                                             e.key.s2.row, e.key.s2.col]]))
+        walls = (e.encoding == WALL).astype(np.uint8)
+        X = reference_value_features(walls, np.array([[e.key.s.row, e.key.s.col,
+                                                       e.key.s2.row, e.key.s2.col]]))
         z = head("value", X)[0]
         p = 1.0 / (1.0 + math.exp(-z))
         value_loss += -(e.target * math.log(p) + (1.0 - e.target) * math.log(1.0 - p))
@@ -437,9 +607,9 @@ def manual_losses(params: dict, batch: dict) -> tuple[float, float]:
 
     prior_loss = 0.0
     for e in batch["prior"]:
-        maze = _maze_from_encoding(e.encoding)
-        cands = [None, *maze.empty_cells]
-        X = prior_features(maze.cells, e.s, e.s2, cands)
+        walls = (e.encoding == WALL).astype(np.uint8)
+        cands = [None, *(StateId(int(r), int(c)) for r, c in zip(*np.nonzero(walls == 0)))]
+        X = reference_prior_features(walls, e.s, e.s2, cands)
         z = head("prior", X)
         zs = z - z.max()
         logp = zs - math.log(np.exp(zs).sum())
@@ -532,6 +702,36 @@ class TestTrainStep:
         batch = make_batch(maze, np.random.default_rng(4))
         with pytest.raises(ValueError, match="non-finite"):
             train_step(model, batch)
+
+    def test_features_are_built_through_the_module_attributes(self, monkeypatch):
+        """The model and train_step look the feature functions up by name,
+        so wrapping those two module attributes sees every feature row."""
+        calls = []
+
+        def counted(name):
+            fn = getattr(heuristics_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(heuristics_module, "value_features", counted("value_features"))
+        monkeypatch.setattr(heuristics_module, "prior_features", counted("prior_features"))
+        maze = generate_maze(5, 5, 0.5, seed=6)
+        model = TrainableModel(hidden=4, seed=0)
+        pairs = np.array([[a.row, a.col, b.row, b.col] for a in maze.empty_cells[:2]
+                          for b in maze.empty_cells[:2]])
+        model.values(maze, pairs)
+        assert calls == ["value_features"]
+        task = Task(maze, maze.empty_cells[0], maze.empty_cells[-1])
+        model.prior(task, OrKey(task.start, task.goal), candidate_subgoals(maze))
+        assert calls == ["value_features", "prior_features"]
+        calls.clear()
+        batch = make_batch(maze, np.random.default_rng(2))
+        train_step(model, batch)
+        assert calls == ["value_features"] * 3 + ["prior_features"] * 2
 
     def test_mismatched_prior_target_rejected(self):
         maze = row_maze(3)
@@ -706,6 +906,9 @@ class TestReplayPersistence:
 # training loop
 
 
+GOLDEN_TRAINING_SHA256 = "f7bd4234e3353876a5d376fb472c508633e4bee9254b44187d54fa72fc0f15eb"
+
+
 def tiny_configs(episodes: int, **train_kw):
     env = EnvConfig(width=5, height=5, density=0.45)
     pcfg = PlannerConfig(budget=6, seed=0)
@@ -775,6 +978,18 @@ class TestTrainingLoop:
         run = training_loop(env, pcfg, tcfg, seed=4,
                             on_episode=lambda e, rec, m, b: seen.append(e))
         assert seen == [0, 1, 2]
+
+    def test_training_golden_checkpoint(self):
+        """A short 7×7 run with five train_step calls reproduces a pinned
+        checkpoint, so any change to the features, their row order or the
+        gradient sums shows up here."""
+        env = EnvConfig(width=7, height=7, density=0.75)
+        pcfg = PlannerConfig(budget=20, c_puct=5.0)
+        tcfg = TrainConfig(episodes=8, batch_size=4, capacity=64, hidden=8, learning_rate=1e-2)
+        run = training_loop(env, pcfg, tcfg, seed=7)
+        assert sum(r.prior_loss is not None for r in run.records) == 5
+        digest = hashlib.sha256(save_checkpoint(run.model, 8).encode()).hexdigest()
+        assert digest == GOLDEN_TRAINING_SHA256
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

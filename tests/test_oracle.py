@@ -390,6 +390,31 @@ class TestExactHeuristics:
         for row, (a, b) in zip(got, [(a, b) for a in cells[:4] for b in cells[:4]]):
             assert row == table.value(a, b)
 
+    def test_values_match_the_table_loop_bit_for_bit(self):
+        for seed in range(4):
+            maze = generate_maze(7, 6, 0.6, seed=seed)
+            table = exact_value_table(sample_task(maze, seed=seed), Pi0())
+            heur = ExactHeuristics(table)
+            cells = maze.empty_cells
+            rng = np.random.default_rng(seed)
+            picks = rng.integers(len(cells), size=(40, 2))
+            pairs = np.array([[*cells[i], *cells[j]] for i, j in picks])
+            want = np.array([table.values[table.index[cells[i]], table.index[cells[j]]]
+                             for i, j in picks])
+            assert heur.values(maze, pairs).tobytes() == want.tobytes()
+        assert heur.values(maze, np.empty((0, 4), dtype=np.int64)).shape == (0,)
+
+    def test_values_reject_walls_and_off_board_cells(self):
+        maze = generate_maze(7, 7, 0.75, seed=3)
+        table = exact_value_table(sample_task(maze, seed=1), Pi0())
+        heur = ExactHeuristics(table)
+        a = maze.empty_cells[0]
+        wall = tuple(int(x) for x in np.argwhere(maze.cells == 1)[0])
+        for bad in (wall, (7, 0), (0, 7), (-1, 0), (0, -1)):
+            for pairs in ([[*a, *bad]], [[*bad, *a]], [[*a, *a], [*bad, *a]]):
+                with pytest.raises(ValueError, match="not an empty cell"):
+                    heur.values(maze, np.array(pairs))
+
     def test_prior_is_distribution_weighted_by_products(self):
         maze = row_maze(3)
         task = Task(maze, cell(0, 0), cell(0, 2))

@@ -847,6 +847,17 @@ class TestExtractionMatchesLoopForm:
 
 
 class TestRunSearch:
+    @pytest.mark.parametrize("end", ["start", "goal"])
+    def test_wall_or_off_board_end_is_a_value_error(self, end):
+        maze = generate_maze(7, 7, 0.75, seed=3)
+        wall = StateId(*map(int, np.argwhere(maze.cells == 1)[0]))
+        inside = maze.empty_cells[0]
+        for bad in (wall, cell(7, 0), cell(-1, 2)):
+            ends = {"start": inside, "goal": inside, end: bad}
+            task = Task(maze, ends["start"], ends["goal"])
+            with pytest.raises(ValueError, match=f"task {end} .* not an empty cell"):
+                run_search(task, UntrainedHeuristics(), PlannerConfig(budget=5))
+
     def test_adjacent_start_goal_any_budget(self):
         maze = open_grid(4)
         task = Task(maze, cell(1, 1), cell(1, 2))
