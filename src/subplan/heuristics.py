@@ -43,6 +43,7 @@ from subplan.planner import (
     PlanningContext,
     PlanResult,
     run_search,
+    selection_scores,
 )
 from subplan.tree import (
     OrKey,
@@ -184,6 +185,18 @@ PARAM_SHAPES = ("value_w1", "value_b1", "value_w2", "value_b2",
                 "prior_w1", "prior_b1", "prior_w2", "prior_b2")
 
 
+def _check_model_settings(hidden: int, temperature: float, learning_rate: float,
+                         optimizer: str) -> None:
+    """Raise ValueError for a setting no model can infer or train with."""
+    if optimizer not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer {optimizer!r}")
+    if hidden < 1:
+        raise ValueError(f"hidden must be at least 1, got {hidden}")
+    for name, value in (("temperature", temperature), ("learning_rate", learning_rate)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 class TrainableModel:
     """Two-headed MLP over hand-built features.
 
@@ -200,8 +213,7 @@ class TrainableModel:
         optimizer: str = "sgd",
         seed: int = 0,
     ):
-        if optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {optimizer!r}")
+        _check_model_settings(hidden, temperature, learning_rate, optimizer)
         self.hidden = hidden
         self.temperature = temperature
         self.learning_rate = learning_rate
@@ -229,7 +241,9 @@ class TrainableModel:
         b1 = self.params[f"{head}_b1"]
         w2 = self.params[f"{head}_w2"]
         b2 = self.params[f"{head}_b2"]
-        A = np.tanh(X @ w1 + b1)
+        A = X @ w1
+        A += b1
+        np.tanh(A, out=A)  # in place: a whole-board v_hat batch is thousands of rows
         z = A @ w2 + b2[0]
         return z, A
 
@@ -389,9 +403,9 @@ def value_targets_from_result(result: PlanResult) -> list[tuple[OrKey, float]]:
 
 
 def prior_targets_from_tree(tree: SearchTree, key: OrKey) -> np.ndarray | None:
-    """Target distribution over candidates, proportional to the product of
-    child values V(s,x)·V(x,s'') with select-style bootstrap fallback for
-    unexpanded children and v_pi(s,s'') for ∅.
+    """Target distribution over candidates, proportional to Select's
+    exploitation scores (selection_scores at c = 0): V(s,x)·V(x,s'') for a
+    cell x and v_pi(s,s'') for ∅.
 
     Returns None when no candidate has positive weight (nothing scorable).
     """
@@ -401,9 +415,7 @@ def prior_targets_from_tree(tree: SearchTree, key: OrKey) -> np.ndarray | None:
     i, j = ctx.index.get(key.s), ctx.index.get(key.s2)
     if i is None or j is None or i * ctx.n + j not in tree.and_counts:
         raise ValueError(f"prior targets need an expanded node, got {key}")
-    w = np.empty(ctx.n + 1)
-    w[0] = ctx.v_pi[i, j]
-    w[1:] = ctx.left_values(i) * ctx.right_values(j)
+    w = selection_scores(tree, i, j, 0.0)
     total = w.sum()
     if total <= 0.0:
         return None
@@ -551,29 +563,26 @@ def load_checkpoint(text: str) -> tuple[TrainableModel, int]:
             i += 1
             continue
         if parts[0] == "meta":
+            if len(parts) != 3:
+                raise ValueError(f"bad checkpoint meta line: {lines[i]!r}")
             meta[parts[1]] = parts[2]
             i += 1
         elif parts[0] == "param":
+            ndim = int(parts[2]) if len(parts) > 2 else 0
+            if ndim not in (1, 2) or len(parts) != 3 + ndim:
+                raise ValueError(f"bad checkpoint param line: {lines[i]!r}")
             name = parts[1]
-            ndim = int(parts[2])
+            shape = tuple(int(x) for x in parts[3:])
+            r = shape[0] if ndim == 2 else 1
+            if i + 1 + r > len(lines):
+                raise ValueError(f"checkpoint ends inside parameter {name}")
+            arr = np.array([[float(x) for x in lines[i + 1 + k].split()] for k in range(r)])
             if ndim == 1:
-                n = int(parts[3])
-                row = np.array([float(x) for x in lines[i + 1].split()])
-                if len(row) != n:
-                    raise ValueError(f"bad array length for {name}")
-                arrays[name] = row
-                i += 2
-            else:
-                r, c = int(parts[3]), int(parts[4])
-                rows = [
-                    np.array([float(x) for x in lines[i + 1 + k].split()])
-                    for k in range(r)
-                ]
-                arr = np.stack(rows)
-                if arr.shape != (r, c):
-                    raise ValueError(f"bad array shape for {name}")
-                arrays[name] = arr
-                i += 1 + r
+                arr = arr.reshape(-1)
+            if arr.shape != shape:
+                raise ValueError(f"bad array shape for {name}")
+            arrays[name] = arr
+            i += 1 + r
         else:
             raise ValueError(f"bad checkpoint line: {lines[i]!r}")
     required = ("hidden", "temperature", "learning_rate", "optimizer", "seed")
@@ -731,8 +740,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.parser not in PARSER_KINDS:
             raise ValueError(f"unknown parser {self.parser!r}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        _check_model_settings(self.hidden, self.temperature, self.learning_rate, self.optimizer)
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
 
 
 @dataclass(frozen=True)

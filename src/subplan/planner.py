@@ -52,6 +52,10 @@ DESCEND_MODES = MODES[2:]
 # with budget left (e.g. every reachable node is expanded on a tiny board).
 IDLE_TRAVERSAL_LIMIT = 256
 
+# v_hat is computed in blocks of this many pairs: one call on an 11×11 board
+# at density 0.75 (57 cells, 3,249 pairs), bounded memory on large boards.
+VHAT_BLOCK_PAIRS = 4096
+
 
 class SearchHeuristics(Protocol):
     """What the planner needs from a heuristics provider."""
@@ -150,25 +154,19 @@ class PlanningContext:
     for the sub-task (cells[i], cells[j]).
 
     The SearchTree is the one store of node statistics (V, N, and_counts).
-    The context's V is the tree's V array itself, shared rather than
-    copied, so the context reads values without holding the tree.  Its own
-    caches derive from the maze, the heuristics and V:
+    The constructor computes v_hat for all n² pairs, in row-major order and
+    blocks of VHAT_BLOCK_PAIRS pairs, and writes every key's bootstrap
+    max(v_pi, v_hat) into the fresh tree's V.  From then on V is each key's
+    estimate: its bootstrap until it is expanded, its running mean after.
+    No value depends on the order in which keys are first read.  The
+    context's own caches:
       v_pi    low-level values, fixed
-      _vhat   v_hat, filled one whole row or column at a time (_vhat_rows,
-              _vhat_cols)
-      Q       the select-time child value: V where a key is expanded,
-              max(v_pi, v_hat) elsewhere; valid on filled rows and columns.
-              It is written in exactly four places: _traverse sets
-              Q[i, j] = V after an expansion and after a backup, and
-              _fill_row and _fill_col rewrite a whole row or column, so
-              every read sees the latest v_hat.
       priors  the heuristic prior of a key and c_puct times it, computed
               on first use (Select reads them only at a key with N ≥ 1)
 
     The constructor attaches the context to its tree (tree.context), so that
     extraction and training-target computation can score children exactly
-    the way Select did.  One traversal at a time updates the tree's
-    statistics and the context's caches.
+    the way Select did.
     """
 
     def __init__(
@@ -187,51 +185,24 @@ class PlanningContext:
         self.cells = self.maze.empty_cells
         if tree.cells != self.cells:
             raise ValueError("the tree's cells are not the maze's empty cells")
+        if tree.and_counts:
+            raise ValueError("the tree already has expanded keys")
         self.index = self.maze.empty_index
-        self.n = len(self.cells)
-        self.coords = np.array(self.cells, dtype=np.int64).reshape(self.n, 2)
+        self.n = n = len(self.cells)
         self.candidates = candidate_subgoals(self.maze)
         self.v_pi = low_level_matrix(self.maze, self.low_level)
-        self._vhat = np.full((self.n, self.n), np.nan)
-        self._vhat_rows = np.zeros(self.n, dtype=bool)
-        self._vhat_cols = np.zeros(self.n, dtype=bool)
-        self.V = tree.V
-        self.Q = np.full((self.n, self.n), np.nan)
-        self._ij: dict[OrKey, tuple[int, int]] = {}
+        coords = np.array(self.cells, dtype=np.int64).reshape(n, 2)
+        vhat = np.empty(n * n)
+        for a in range(0, n * n, VHAT_BLOCK_PAIRS):
+            i, j = np.divmod(np.arange(a, min(a + VHAT_BLOCK_PAIRS, n * n)), n)
+            vhat[a : a + len(i)] = heuristics.values(self.maze, np.hstack([coords[i], coords[j]]))
+        np.maximum(self.v_pi, vhat.reshape(n, n), out=tree.V)
         self._prior: dict[int, np.ndarray] = {}
         self._scaled_prior: dict[int, np.ndarray] = {}
         tree.context = self
 
     def kidx(self, key: OrKey) -> tuple[int, int]:
-        ij = self._ij.get(key)
-        if ij is None:
-            ij = self._ij[key] = (self.index[key.s], self.index[key.s2])
-        return ij
-
-    # -- heuristic values ---------------------------------------------------
-
-    def _fill_row(self, i: int) -> None:
-        if not self._vhat_rows[i]:
-            pairs = np.hstack([np.broadcast_to(self.coords[i], (self.n, 2)), self.coords])
-            self._vhat[i] = np.asarray(self.heuristics.values(self.maze, pairs), dtype=float)
-            self._vhat_rows[i] = True
-            V = self.V[i]
-            self.Q[i] = np.where(np.isnan(V), np.maximum(self.v_pi[i], self._vhat[i]), V)
-
-    def _fill_col(self, j: int) -> None:
-        # A model's v_hat for one pair can differ in the last bit between a
-        # row batch and a column batch (its matrix products depend on the
-        # batch), so the latest fill wins, in _vhat and in Q alike.
-        if not self._vhat_cols[j]:
-            pairs = np.hstack([self.coords, np.broadcast_to(self.coords[j], (self.n, 2))])
-            self._vhat[:, j] = np.asarray(self.heuristics.values(self.maze, pairs), dtype=float)
-            self._vhat_cols[j] = True
-            V = self.V[:, j]
-            self.Q[:, j] = np.where(np.isnan(V), np.maximum(self.v_pi[:, j], self._vhat[:, j]), V)
-
-    def vhat(self, i: int, j: int) -> float:
-        self._fill_row(i)
-        return float(self._vhat[i, j])
+        return self.index[key.s], self.index[key.s2]
 
     def prior(self, i: int, j: int) -> np.ndarray:
         """The heuristic prior of the key (i, j) over the candidates (∅
@@ -251,22 +222,6 @@ class PlanningContext:
         if cp is None:
             cp = self._scaled_prior[f] = self.config.c_puct * self.prior(i, j)
         return cp
-
-    # -- child value views --------------------------------------------------
-
-    def left_values(self, i: int) -> np.ndarray:
-        """Select-time value of (s, x) for every candidate cell x.  The
-        vector is a view into the context's arrays: read it, never write it."""
-        if self.config.mode == "sequential_right":
-            return self.v_pi[i]
-        self._fill_row(i)
-        return self.Q[i]
-
-    def right_values(self, j: int) -> np.ndarray:
-        """Select-time value of (x, s'') for every candidate cell x.  The
-        vector is a view into the context's arrays: read it, never write it."""
-        self._fill_col(j)
-        return self.Q[:, j]
 
 
 TieFn = Callable[[int, int], int]  # (path_key, n_options) -> index
@@ -299,13 +254,14 @@ def selection_scores(tree: SearchTree, i: int, j: int, c_puct: float) -> np.ndar
     V(s,x)·V(x,s'') + c·p·√N/(1+N_and), exactly as Select sees it.
 
     The ∅ candidate's exploitation term is v_pi(s, s'') (it has no
-    V-product); unexpanded children are scored with the bootstrap
-    max(v_pi, v_hat) without consuming budget.
+    V-product), and in sequential_right mode the left factor is v_pi(s, x).
+    An unexpanded child's V is its bootstrap max(v_pi, v_hat).
     """
     ctx = tree.context
+    left = ctx.v_pi[i] if ctx.config.mode == "sequential_right" else tree.V[i]
     exploit = np.empty(ctx.n + 1)
     exploit[0] = ctx.v_pi[i, j]
-    np.multiply(ctx.left_values(i), ctx.right_values(j), out=exploit[1:])
+    np.multiply(left, tree.V[:, j], out=exploit[1:])
     n = tree.N.item(i, j)
     if c_puct > 0 and n > 0:
         cp = ctx.scaled_prior(i, j) if c_puct == ctx.config.c_puct else c_puct * ctx.prior(i, j)
@@ -314,13 +270,8 @@ def selection_scores(tree: SearchTree, i: int, j: int, c_puct: float) -> np.ndar
 
 
 def _child_stats(tree: SearchTree, i: int, j: int) -> tuple[float, int]:
-    """(V, N) of the key (i, j); the bootstrap max(v_pi, v_hat) and 0 when
-    it is not expanded."""
-    v = tree.V.item(i, j)
-    if math.isnan(v):
-        ctx = tree.context
-        return max(ctx.v_pi.item(i, j), ctx.vhat(i, j)), 0
-    return v, tree.N.item(i, j)
+    """(V, N) of the key (i, j); an unexpanded key has its bootstrap and 0."""
+    return tree.V.item(i, j), tree.N.item(i, j)
 
 
 def descend_one(mode: str, left_stats, right_stats, rng) -> str:
@@ -362,19 +313,17 @@ def _traverse(
     traversed to completion before the right.  The children of path_key
     are 2·path_key (left) and 2·path_key + 1 (right).
     """
-    v_pi = ctx.v_pi.item(i, j)
     if i * ctx.n + j not in tree.and_counts:
-        v_boot = ctx.vhat(i, j)
         try:
-            v0 = expand_node(tree, i, j, v_pi, v_boot)
+            expand_node(tree, i, j)
         except BudgetExhausted:
-            return max(v_pi, v_boot)  # no budget: bootstrap without expanding
-        ctx.Q[i, j] = v0
-        return v0
+            pass  # no budget: bootstrap without expanding
+        return tree.V.item(i, j)
 
     pick = _argmax_with_ties(selection_scores(tree, i, j, ctx.config.c_puct), tie_fn, path_key)
     touch_and_node(tree, i, j, pick)
 
+    v_pi = ctx.v_pi.item(i, j)
     if pick == 0 or depth >= ctx.config.max_depth:
         G = v_pi
     else:
@@ -402,8 +351,7 @@ def _traverse(
         G = g_left * g_right
 
     G = max(G, v_pi)  # planning can only improve on acting directly
-    v, _ = update_or_stats(tree, i, j, G)
-    ctx.Q[i, j] = v
+    update_or_stats(tree, i, j, G)
     return G
 
 
@@ -457,7 +405,8 @@ class _Extractor:
         self.ctx = ctx
         self.max_depth = tree.max_depth
         self.seq = ctx.config.mode == "sequential_right"
-        self.T = T = ~np.isnan(tree.V)
+        self.T = T = np.zeros((ctx.n, ctx.n), dtype=bool)
+        T.reshape(-1)[list(tree.and_counts)] = True
         I, J = np.nonzero(T)
         M = T[:, J].T if self.seq else T[I] | T[:, J].T
         rows = np.arange(len(I))
@@ -512,8 +461,8 @@ class _Extractor:
         )
 
 
-def _extract(ctx: PlanningContext, tree: SearchTree, key: OrKey, depth: int) -> SolutionNode:
-    return _Extractor(ctx, tree).node(*ctx.kidx(key), max(tree.max_depth - depth, 0))
+def _extract(ctx: PlanningContext, tree: SearchTree, key: OrKey) -> SolutionNode:
+    return _Extractor(ctx, tree).node(*ctx.kidx(key), tree.max_depth)
 
 
 def _flatten(node: SolutionNode) -> list[StateId]:
@@ -529,20 +478,8 @@ def extract_plan(tree: SearchTree, key: OrKey) -> tuple[tuple[StateId, ...], flo
     ctx = tree.context
     if ctx is None:
         raise ValueError("tree has no planning context; extraction needs one")
-    root = _extract(ctx, tree, key, 0)
+    root = _extract(ctx, tree, key)
     return tuple(_flatten(root)), root.G
-
-
-def _solution_returns(root: SolutionNode) -> tuple[tuple[OrKey, float], ...]:
-    out = []
-    stack = [root]
-    while stack:
-        n = stack.pop()
-        out.append((n.key, n.G))
-        if not n.terminal:
-            stack.append(n.right)
-            stack.append(n.left)
-    return tuple(out)
 
 
 def run_search(
@@ -570,7 +507,7 @@ def run_search(
         traversals += 1
         idle = idle + 1 if tree.budget_used == before else 0
 
-    sol_root = _extract(ctx, tree, root, 0)
+    sol_root = _extract(ctx, tree, root)
     sigma = tuple(_flatten(sol_root))
     L = plan_objective(task, sigma, ctx.low_level)
     plan = Plan(sigma=sigma, objective_L=L, infeasible=L == 0.0)
@@ -582,10 +519,11 @@ def run_search(
         "root_V": float(tree.V[ri, rj]),
         "root_N": int(tree.N[ri, rj]),
     }
+    solution_tree = SolutionTree(sol_root)
     return PlanResult(
         plan=plan,
-        solution_tree=SolutionTree(sol_root),
-        returns=_solution_returns(sol_root),
+        solution_tree=solution_tree,
+        returns=tuple((node.key, node.G) for node in solution_tree.nodes()),
         budget_used=tree.budget_used,
         tree_stats=stats,
         tree=tree,

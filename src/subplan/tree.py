@@ -10,7 +10,12 @@ The store is dense over the tree's cells (the maze's empty cells in
 row-major order): the key (cells[i], cells[j]) is the index pair (i, j), so
 index order is key order.  It holds
 
-  V            (n, n) running values, NaN where a key is not expanded
+  V            (n, n) value estimates, one per key: the bootstrap
+               max(v_pi, v_hat), which a PlanningContext writes for every
+               key when it is attached, until the key's first visit after
+               expansion, and its running mean from then on.  A tree
+               without a context (one loaded from a dump) holds NaN for
+               the keys it has not expanded.
   N            (n, n) visit counts
   and_counts   i·n + j -> the visit count of each split of that key, ∅
                first and then one per cell; a key is expanded exactly when
@@ -23,7 +28,6 @@ of unexpanded children, value lookups) is free.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -71,8 +75,8 @@ class SearchTree:
         self.context = None
 
 
-def expand_node(tree: SearchTree, i: int, j: int, v_pi: float, v_boot: float) -> float:
-    """Expand the key (i, j) with V = max(v_pi, v_boot), N = 0.
+def expand_node(tree: SearchTree, i: int, j: int) -> None:
+    """Expand the key (i, j): give it split counts, keeping its V and N.
 
     Consumes one unit of budget; raises BudgetExhausted (tree unchanged)
     when none remains and ValueError on duplicate expansion.
@@ -82,18 +86,15 @@ def expand_node(tree: SearchTree, i: int, j: int, v_pi: float, v_boot: float) ->
         raise ValueError(f"node {(i, j)} already expanded")
     if tree.budget_used >= tree.budget_max:
         raise BudgetExhausted((i, j))
-    v0 = max(v_pi, v_boot)
-    tree.V[i, j] = v0
     tree.and_counts[f] = np.zeros(tree.n + 1, dtype=np.int64)
     tree.budget_used += 1
-    return v0
 
 
 def update_or_stats(tree: SearchTree, i: int, j: int, G: float) -> tuple[float, int]:
     """Running-average update of the key (i, j): V <- (V*N + G)/(N+1), N <- N+1."""
-    v = tree.V.item(i, j)
-    if math.isnan(v):
+    if i * tree.n + j not in tree.and_counts:
         raise ValueError(f"update on unexpanded node {(i, j)}")
+    v = tree.V.item(i, j)
     n = tree.N.item(i, j)
     v = (v * n + G) / (n + 1)
     tree.V[i, j] = v
@@ -203,7 +204,8 @@ def load_tree_dump(text: str, root: OrKey | None = None) -> SearchTree:
     tree = SearchTree(root=root, budget_max=len(ors), max_depth=0, cells=cells)
     for (s, s2), (V, N) in ors.items():
         i, j = index[s], index[s2]
-        expand_node(tree, i, j, V, V)
+        expand_node(tree, i, j)
+        tree.V[i, j] = V
         tree.N[i, j] = N
     for (s, mid, s2), count in ands.items():
         pick = 0 if mid is None else index[mid] + 1

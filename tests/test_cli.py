@@ -279,6 +279,32 @@ class TestValidateAndMisc:
         code, _ = run_cli("validate", str(bad), capsys=capsys)
         assert code == 2
 
+    def test_validate_rejects_a_config_no_model_can_use(self, tmp_path, capsys):
+        good = tmp_path / "good.txt"
+        good.write_text(serialize_config(ExperimentConfig()))
+        assert run_cli("validate", str(good), capsys=capsys)[0] == 0
+        for k, line in enumerate(("temperature = 0.0", "learning_rate = nan", "hidden = 0",
+                                  "batch_size = 0")):
+            bad = tmp_path / f"bad{k}.txt"
+            bad.write_text(f"{line}\n")
+            code, _ = run_cli("validate", str(bad), capsys=capsys)
+            assert code == 2, line
+
+    def test_a_truncated_checkpoint_is_named_in_the_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("model v1\nmeta hidden\n")
+        for argv in (["validate", str(bad)], ["eval", "--checkpoint", str(bad), "--tasks", "1"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "meta" in err and "index" not in err, err
+
+    def test_train_rejects_a_zero_temperature_before_training(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("temperature = 0\nepisodes = 2\n")
+        assert main(["train", "--config", str(bad), "--out", str(tmp_path / "run")]) == 2
+        assert "temperature" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_validate_rejects_impossible_tree_dumps(self, tmp_path, capsys):
         # a negative visit count, an unexpanded node, a split under a
         # missing sub-task: parse fine, but no search writes them

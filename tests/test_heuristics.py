@@ -504,22 +504,15 @@ def built_tree():
     tree = search_tree(task, 10)
     ctx = PlanningContext(tree, task, VhatStub(0.35), cfg)
     for key in (tree.root, OrKey(cell(0, 0), cell(0, 1)), OrKey(cell(0, 1), cell(0, 2))):
-        expand(ctx, tree, key)
+        expand_node(tree, *ctx.kidx(key))
     for g in (0.5, 0.7):
-        v, _ = update_or_stats(tree, *ctx.kidx(tree.root), g)
-        ctx.Q[ctx.kidx(tree.root)] = v
+        update_or_stats(tree, *ctx.kidx(tree.root), g)
     return tree, task
 
 
 def search_tree(task, budget):
     return SearchTree(root=OrKey(task.start, task.goal), budget_max=budget, max_depth=8,
                       cells=task.maze.empty_cells)
-
-
-def expand(ctx, tree, key):
-    """Expand key the way the planner does, keeping ctx.Q in step."""
-    i, j = ctx.kidx(key)
-    ctx.Q[i, j] = expand_node(tree, i, j, float(ctx.v_pi[i, j]), ctx.vhat(i, j))
 
 
 class TestTargets:
@@ -555,7 +548,7 @@ class TestTargets:
         cfg = PlannerConfig(budget=5, seed=0)
         tree = search_tree(task, 5)
         ctx = PlanningContext(tree, task, VhatStub(0.0), cfg, DeadPolicy())
-        expand(ctx, tree, tree.root)
+        expand_node(tree, *ctx.kidx(tree.root))
         assert prior_targets_from_tree(tree, tree.root) is None
 
     def test_prior_targets_error_paths(self):
@@ -812,6 +805,69 @@ class TestCheckpoints:
         model.params["value_w2"][0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             load_checkpoint(save_checkpoint(model))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("model v1\nmeta hidden\n", id="meta-without-value"),
+            pytest.param("model v1\nmeta\n", id="meta-alone"),
+            pytest.param("model v1\nparam value_b1\n", id="param-without-ndim"),
+            pytest.param("model v1\nparam value_b1 1\n", id="param-1d-without-length"),
+            pytest.param("model v1\nparam value_w1 2 3\n", id="param-2d-without-columns"),
+            pytest.param("model v1\nparam value_b1 1 4\n", id="row-missing"),
+            pytest.param("model v1\nparam value_w1 2 3 4\n0.0 0.0 0.0 0.0\n", id="rows-missing"),
+        ],
+    )
+    def test_truncated_lines_are_value_errors(self, text):
+        with pytest.raises(ValueError):
+            load_checkpoint(text)
+
+    def test_a_checkpoint_cut_short_is_a_value_error(self):
+        lines = save_checkpoint(TrainableModel(hidden=3, seed=1)).splitlines()
+        for k in range(1, len(lines)):
+            with pytest.raises(ValueError):
+                load_checkpoint("\n".join(lines[:k]) + "\n")
+
+
+# hidden, temperature and learning_rate a model cannot train or infer with
+BAD_MODEL_SETTINGS = [
+    {"hidden": 0},
+    {"hidden": -2},
+    {"temperature": 0.0},
+    {"temperature": -0.5},
+    {"temperature": float("nan")},
+    {"temperature": float("inf")},
+    {"learning_rate": 0.0},
+    {"learning_rate": -1e-3},
+    {"learning_rate": float("nan")},
+    {"learning_rate": float("inf")},
+    {"optimizer": "rmsprop"},
+]
+
+
+class TestModelSettings:
+    @pytest.mark.parametrize("bad", BAD_MODEL_SETTINGS, ids=repr)
+    def test_model_and_train_config_reject_the_same_settings(self, bad):
+        with pytest.raises(ValueError):
+            TrainableModel(**bad)
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
+
+    def test_train_config_needs_a_batch(self):
+        for size in (0, -4):
+            with pytest.raises(ValueError):
+                TrainConfig(batch_size=size)
+        assert TrainConfig(batch_size=1).batch_size == 1
+
+    def test_the_smallest_valid_settings_are_accepted(self):
+        kw = {"hidden": 1, "temperature": 5e-324, "learning_rate": 5e-324}
+        assert TrainableModel(**kw).hidden == 1
+        assert TrainConfig(**kw).temperature == 5e-324
+
+    def test_checkpoint_meta_is_checked_like_the_constructor(self):
+        text = save_checkpoint(TrainableModel(hidden=3, seed=1))
+        with pytest.raises(ValueError, match="temperature"):
+            load_checkpoint(text.replace("meta temperature 0.003", "meta temperature 0.0"))
 
 
 class TestReplayPersistence:

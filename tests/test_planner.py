@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subplan.gridworld import Maze, Pi0, StateId, Task, generate_maze, sample_task
-from subplan.heuristics import TrainableModel, UntrainedHeuristics, prior_targets_from_tree
+from subplan.heuristics import (
+    TrainableModel,
+    UntrainedHeuristics,
+    load_checkpoint,
+    prior_targets_from_tree,
+)
 from subplan.oracle import ExactHeuristics, StochasticTestPolicy, exact_value_table
 from subplan.planner import (
     MODES,
@@ -41,6 +47,11 @@ from subplan.tree import (
 )
 
 import subplan.planner as planner_mod
+
+BENCH_FIXTURE = (
+    Path(__file__).resolve().parent.parent
+    / "bench" / "fixtures" / "trained_11x11_b100_seed0_ep150.ckpt"
+)
 
 
 def open_grid(width: int, height: int | None = None) -> Maze:
@@ -108,18 +119,12 @@ def make_search(task, heuristics, config, low_level=None):
 
 
 def expand(tree, ctx, key):
-    """Expand key the way _traverse does, keeping ctx.Q in step."""
-    i, j = ctx.kidx(key)
-    v0 = expand_node(tree, i, j, float(ctx.v_pi[i, j]), ctx.vhat(i, j))
-    ctx.Q[i, j] = v0
-    return v0
+    """Expand key the way _traverse does: it keeps its bootstrap V."""
+    expand_node(tree, *ctx.kidx(key))
 
 
 def update(tree, ctx, key, g):
-    i, j = ctx.kidx(key)
-    v, n = update_or_stats(tree, i, j, g)
-    ctx.Q[i, j] = v
-    return v, n
+    return update_or_stats(tree, *ctx.kidx(key), g)
 
 
 def touch(tree, ctx, key, mid):
@@ -129,6 +134,14 @@ def touch(tree, ctx, key, mid):
 def keys(tree) -> list[OrKey]:
     """The expanded keys of a tree, in key order."""
     return [OrKey(tree.cells[f // tree.n], tree.cells[f % tree.n]) for f in sorted(tree.and_counts)]
+
+
+def expanded_mask(tree) -> np.ndarray:
+    """(n, n) bool: True where a key is expanded."""
+    mask = np.zeros((tree.n, tree.n), dtype=bool)
+    for f in tree.and_counts:
+        mask[divmod(f, tree.n)] = True
+    return mask
 
 
 def stats(tree, key) -> tuple[float, int]:
@@ -441,13 +454,13 @@ class TestBookkeeping:
             for key in keys(tree):
                 i, j = tree.context.kidx(key)
                 assert tree.and_counts[i * tree.n + j].sum() == stats(tree, key)[1]
-            assert not tree.N[np.isnan(tree.V)].any()  # unexpanded keys have no visits
+            assert not tree.N[~expanded_mask(tree)].any()  # unexpanded keys have no visits
 
     def test_budget_counts_expansions_exactly(self):
         for seed in range(8):
             res = self.run_random_search(seed)
             assert res.budget_used == len(res.tree.and_counts)
-            assert res.budget_used == np.count_nonzero(~np.isnan(res.tree.V))
+            assert res.budget_used == np.count_nonzero(expanded_mask(res.tree))
             assert res.budget_used <= 40
 
     def test_threshold_floor_after_search(self):
@@ -474,36 +487,109 @@ class TestBookkeeping:
 
 
 # ---------------------------------------------------------------------------
-# the select-time value matrix
+# one value array: V holds every key's estimate
 
 
-def select_values_form(ctx):
-    """What every filled row and column of ctx.Q must hold: V where a key is
-    expanded, the bootstrap max(v_pi, v_hat) elsewhere."""
-    return np.where(np.isnan(ctx.V), np.maximum(ctx.v_pi, ctx._vhat), ctx.V)
+def pairs_loop_form(ctx) -> np.ndarray:
+    """Every (r1, c1, r2, c2) pair of the context's cells, row-major."""
+    return np.array(
+        [(a.row, a.col, b.row, b.col) for a in ctx.cells for b in ctx.cells], dtype=np.int64
+    )
+
+
+def fresh_bootstrap(ctx) -> np.ndarray:
+    """max(v_pi, v_hat) over all pairs, v_hat from one fresh call on every
+    pair in row-major order."""
+    vhat = np.asarray(ctx.heuristics.values(ctx.maze, pairs_loop_form(ctx)), dtype=float)
+    return np.maximum(ctx.v_pi, vhat.reshape(ctx.n, ctx.n))
 
 
 def scores_form(tree, key, c_puct):
-    """selection_scores as fresh arrays rebuilt from V and v_hat."""
+    """selection_scores as fresh arrays rebuilt from V, v_pi and the prior."""
     ctx = tree.context
     i, j = ctx.kidx(key)
-    if ctx.config.mode == "sequential_right":
-        left = ctx.v_pi[i].copy()
-    else:
-        ctx._fill_row(i)
-        row = ctx.V[i]
-        left = np.where(np.isnan(row), np.maximum(ctx.v_pi[i], ctx._vhat[i]), row)
-    ctx._fill_col(j)
-    col = ctx.V[:, j]
-    right = np.where(np.isnan(col), np.maximum(ctx.v_pi[:, j], ctx._vhat[:, j]), col)
-    exploit = np.empty(ctx.n + 1)
-    exploit[0] = ctx.v_pi[i, j]
-    exploit[1:] = left * right
+    left = ctx.v_pi[i] if ctx.config.mode == "sequential_right" else tree.V[i]
+    exploit = np.concatenate([[ctx.v_pi[i, j]], left * tree.V[:, j]])
     N = int(tree.N[i, j])
     if c_puct > 0 and N > 0:
         counts = tree.and_counts[i * ctx.n + j]
         return exploit + c_puct * ctx.prior(i, j) * (math.sqrt(N) / (1.0 + counts))
     return exploit
+
+
+class TableHeuristics(StubHeuristics):
+    """v_hat read from an (n, n) table over the maze's cell indices; records
+    the pairs of every values call."""
+
+    def __init__(self, table):
+        super().__init__()
+        self.table = np.asarray(table, dtype=float)
+        self.value_calls = []
+
+    def values(self, maze, pairs):
+        self.value_calls.append(pairs)
+        idx = maze.empty_index
+        return np.array([self.table[idx[cell(a, b)], idx[cell(c, d)]] for a, b, c, d in pairs])
+
+
+class TestBootstrapValues:
+    def test_v_is_the_bootstrap_with_v_hat_above_and_below_v_pi(self):
+        # 1x3 row; v_pi is 1 on the diagonal, 0.5 between neighbours and 0.2
+        # end to end; v_hat is 0.7 everywhere but 0.1 on (0,0) -> (0,1)
+        a, b, c = cell(0, 0), cell(0, 1), cell(0, 2)
+        pol = PairValues({(a, b): 0.5, (b, a): 0.5, (b, c): 0.5, (c, b): 0.5,
+                          (a, c): 0.2, (c, a): 0.2})
+        table = np.full((3, 3), 0.7)
+        table[0, 1] = 0.1
+        task = Task(row_maze(3), a, c)
+        tree, ctx = make_search(task, TableHeuristics(table), PlannerConfig(budget=5), pol)
+        want = np.array([[1.0, 0.5, 0.7],
+                         [0.7, 1.0, 0.7],
+                         [0.7, 0.7, 1.0]])
+        assert tree.V.tobytes() == want.tobytes()
+        assert not tree.N.any() and not tree.and_counts and tree.budget_used == 0
+
+    def test_expansion_keeps_the_bootstrap(self):
+        a, b, c = cell(0, 0), cell(0, 1), cell(0, 2)
+        pol = PairValues({(a, c): 0.2})
+        task = Task(row_maze(3), a, c)
+        for vhat, v0 in ((0.7, 0.7), (0.1, 0.2)):  # v_hat above, then below v_pi
+            tree, ctx = make_search(task, StubHeuristics(vhat=vhat), PlannerConfig(budget=5), pol)
+            expand(tree, ctx, tree.root)
+            assert stats(tree, tree.root) == (v0, 0)
+            assert tree.budget_used == 1
+            # the traversal's expansion returns the bootstrap as well
+            g = _traverse(ctx, tree, *ctx.kidx(OrKey(b, a)), 0, 1, _TieBreaker(0).next_traversal())
+            assert g == vhat and stats(tree, OrKey(b, a)) == (vhat, 0)
+            assert tree.budget_used == 2
+
+    def test_context_needs_a_fresh_tree(self):
+        task = Task(row_maze(3), cell(0, 0), cell(0, 2))
+        tree, ctx = make_search(task, StubHeuristics(), PlannerConfig(budget=5))
+        expand(tree, ctx, tree.root)
+        with pytest.raises(ValueError):
+            PlanningContext(tree, task, StubHeuristics(), PlannerConfig(budget=5))
+
+    @pytest.mark.parametrize("block", [None, 7], ids=["default-blocks", "blocks-of-7"])
+    @pytest.mark.parametrize("shape", [(7, 5), (9, 9)], ids=["7x5", "9x9"])
+    def test_v_hat_blocks_cover_every_pair_once_in_row_major_order(
+        self, shape, block, monkeypatch
+    ):
+        # 35 cells fit one block of 4,096 pairs; 81 cells (6,561 pairs) take two
+        if block is not None:
+            monkeypatch.setattr(planner_mod, "VHAT_BLOCK_PAIRS", block)
+        size = planner_mod.VHAT_BLOCK_PAIRS
+        maze = open_grid(*shape)
+        n = len(maze.empty_cells)
+        table = np.random.default_rng(n).random((n, n))
+        heur = TableHeuristics(table)
+        tree, ctx = make_search(sample_task(maze, 1), heur, PlannerConfig(budget=5))
+        n2 = n * n
+        whole, rest = divmod(n2, size)
+        assert [len(p) for p in heur.value_calls] == [size] * whole + [rest] * (rest > 0)
+        assert all(p.dtype == np.int64 for p in heur.value_calls)
+        assert np.concatenate(heur.value_calls).tobytes() == pairs_loop_form(ctx).tobytes()
+        assert tree.V.tobytes() == np.maximum(ctx.v_pi, table).tobytes()
 
 
 class TestSelectMatrix:
@@ -520,9 +606,10 @@ class TestSelectMatrix:
         task = sample_task(maze, maze_seed)
         cfg = PlannerConfig(budget=10_000, mode=mode)
         tree, ctx = make_search(task, seeded_model(maze_seed % 97), cfg)
+        bootstrap = fresh_bootstrap(ctx)
         n = ctx.n
         cell_index = st.integers(0, n - 1)
-        op = st.sampled_from(("expand", "update", "touch", "vhat", "row", "col"))
+        op = st.sampled_from(("expand", "update", "touch"))
         for _ in range(data.draw(st.integers(1, 25))):
             kind = data.draw(op)
             key = OrKey(ctx.cells[data.draw(cell_index)], ctx.cells[data.draw(cell_index)])
@@ -534,41 +621,26 @@ class TestSelectMatrix:
                 update(tree, ctx, key, data.draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])))
             elif kind == "touch" and key in keys(tree):
                 touch(tree, ctx, key, data.draw(st.sampled_from(ctx.candidates)))
-            elif kind == "vhat":
-                ctx.vhat(*ctx.kidx(key))
-            elif kind == "row":
-                ctx._fill_row(ctx.kidx(key)[0])
-            elif kind == "col":
-                # over a row-filled entry whenever row i is filled
-                ctx._fill_col(ctx.kidx(key)[1])
 
-            want = select_values_form(ctx)
-            for i in np.flatnonzero(ctx._vhat_rows):
-                assert ctx.Q[i].tobytes() == want[i].tobytes()
-            for j in np.flatnonzero(ctx._vhat_cols):
-                assert ctx.Q[:, j].tobytes() == want[:, j].tobytes()
+            unexpanded = ~expanded_mask(tree)
+            assert tree.V[unexpanded].tobytes() == bootstrap[unexpanded].tobytes()
             for k in keys(tree):
                 for c in (0.0, 5.0, 2.5):  # 5.0 is the context's own c_puct
                     assert scores(tree, k, c).tobytes() == scores_form(tree, k, c).tobytes()
 
-    def test_fill_pairs_match_loop_form(self):
-        maze = generate_maze(7, 5, 0.5, 1)
-        seen = []
-
-        class Recording(StubHeuristics):
-            def values(self, maze, pairs):
-                seen.append(pairs)
-                return super().values(maze, pairs)
-
-        _, ctx = make_search(sample_task(maze, 1), Recording(vhat=0.3), PlannerConfig(budget=5))
-        ctx._fill_row(2)
-        ctx._fill_col(4)
-        a, b = ctx.cells[2], ctx.cells[4]
-        row_form = np.array([(a.row, a.col, c.row, c.col) for c in ctx.cells], dtype=np.int64)
-        col_form = np.array([(c.row, c.col, b.row, b.col) for c in ctx.cells], dtype=np.int64)
-        assert [p.dtype for p in seen] == [np.int64, np.int64]
-        assert np.array_equal(seen[0], row_form)
-        assert np.array_equal(seen[1], col_form)
+    def test_scores_do_not_depend_on_read_order(self):
+        # On this board the bench model's v_hat(56, 18) from a batch of row
+        # 56 and from a batch of column 18 are 1.1e-16 apart, so a planner
+        # that reads v_hat through the batch of its first read scores
+        # (56, 18) differently after (0, 18) than before it.
+        maze = generate_maze(11, 11, 0.75, 0)
+        model, _ = load_checkpoint(BENCH_FIXTURE.read_text())
+        task = sample_task(maze, 0)
+        runs = []
+        for order in ((56, 0), (0, 56)):
+            tree, ctx = make_search(task, model, PlannerConfig(budget=5))
+            runs.append({i: selection_scores(tree, i, 18, 5.0).tobytes() for i in order})
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("mode", ["divide_and_conquer", "sequential_right"])
     def test_reads_leave_arrays_unchanged(self, mode):
@@ -584,9 +656,9 @@ class TestSelectMatrix:
             return [a for a in out if a is not None]
 
         def snapshot():
-            return [a.tobytes() for a in (tree.V, tree.N, ctx._vhat, ctx.Q, ctx.v_pi)]
+            return [a.tobytes() for a in (tree.V, tree.N, ctx.v_pi)]
 
-        first = read_all()  # may fill rows and columns
+        first = read_all()
         before = snapshot()
         second = read_all()
         assert [a.tobytes() for a in first] == [a.tobytes() for a in second]
@@ -818,7 +890,7 @@ class TestExtractionMatchesLoopForm:
             if keep and OrKey(*key) != tree.root:
                 expand(tree, ctx, OrKey(*key))
         want, want_levels = reference_extract(ctx, tree, tree.root, max_depth)
-        assert planner_mod._extract(ctx, tree, tree.root, 0) == want
+        assert planner_mod._extract(ctx, tree, tree.root) == want
         assert_levels_match(ctx, tree, want_levels)
 
     def test_extraction_leaves_no_cyclic_garbage(self):

@@ -33,8 +33,12 @@ def make_tree(budget=10, max_depth=8):
     return SearchTree(root=root, budget_max=budget, max_depth=max_depth, cells=CELLS)
 
 
-def expand(tree, key, v_pi=0.0, v_boot=0.5):
-    return expand_node(tree, ix(key.s), ix(key.s2), v_pi, v_boot)
+def expand(tree, key, v0=0.5):
+    """Expand key and give it the value v0.  A tree without a planning
+    context holds no bootstrap values, so the helper sets one."""
+    i, j = ix(key.s), ix(key.s2)
+    expand_node(tree, i, j)
+    tree.V[i, j] = v0
 
 
 def update(tree, key, g):
@@ -60,19 +64,16 @@ def counts(tree, key):
 # expand
 
 
-def test_expand_initializes_to_max():
+def test_expand_charges_budget_and_keeps_the_statistics():
     tree = make_tree()
-    v0 = expand(tree, tree.root, v_pi=0.0, v_boot=0.7)
-    assert v0 == 0.7
-    assert stats(tree, tree.root) == (0.7, 0)
+    i, j = ix(tree.root.s), ix(tree.root.s2)
+    tree.V[i, j] = 0.7
+    V, N = tree.V.copy(), tree.N.copy()
+    assert expand_node(tree, i, j) is None
+    assert np.array_equal(tree.V, V, equal_nan=True) and np.array_equal(tree.N, N)
+    assert list(tree.and_counts) == [i * tree.n + j]
+    assert np.array_equal(tree.and_counts[i * tree.n + j], np.zeros(tree.n + 1))
     assert tree.budget_used == 1
-
-
-def test_expand_floor_at_v_pi():
-    tree = make_tree()
-    v0 = expand(tree, tree.root, v_pi=1.0, v_boot=0.2)
-    assert v0 == 1.0
-    assert stats(tree, tree.root)[0] == 1.0
 
 
 def test_expand_budget_exhaustion_leaves_tree_unchanged():
@@ -98,7 +99,7 @@ def test_budget_used_counts_expansions():
     tree = make_tree(budget=50)
     keys = [OrKey(StateId(c // 4, c % 4), StateId(2, 2)) for c in range(10)]
     for i, k in enumerate(keys):
-        expand(tree, k, 0.0, 0.1)
+        expand(tree, k, 0.1)
         assert tree.budget_used == i + 1 == len(tree.and_counts)
         assert np.count_nonzero(~np.isnan(tree.V)) == i + 1
 
@@ -118,7 +119,7 @@ def test_update_running_average_example():
 
 def test_first_update_overwrites_initialization():
     tree = make_tree()
-    expand(tree, tree.root, 0.0, 0.9)
+    expand(tree, tree.root, 0.9)
     v, n = update(tree, tree.root, 0.3)
     assert v == 0.3 and n == 1
 
@@ -127,7 +128,7 @@ def test_first_update_overwrites_initialization():
 @settings(max_examples=50, deadline=None)
 def test_update_sequence_is_mean(gs):
     tree = make_tree()
-    expand(tree, tree.root, 0.0, 0.42)
+    expand(tree, tree.root, 0.42)
     for g in gs:
         update(tree, tree.root, g)
     V, N = stats(tree, tree.root)
@@ -139,6 +140,11 @@ def test_update_unexpanded_is_error():
     tree = make_tree()
     with pytest.raises(ValueError):
         update(tree, tree.root, 0.5)
+    # a value alone does not make a key expanded: the split counts do
+    tree.V[ix(tree.root.s), ix(tree.root.s2)] = 0.5
+    with pytest.raises(ValueError):
+        update(tree, tree.root, 0.5)
+    assert tree.N.sum() == 0
 
 
 # ---------------------------------------------------------------------------
