@@ -311,6 +311,7 @@ def plan_report(result: PlanResult, config: PlannerConfig,
         f"or_nodes = {stats['or_nodes']}",
         f"and_nodes = {stats['and_nodes']}",
         f"traversals = {stats['traversals']}",
+        f"stop = {stats['stop']}",
     ]
     text = "\n".join(lines) + "\n"
     if render:

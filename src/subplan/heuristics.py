@@ -437,15 +437,16 @@ def train_step(model: TrainableModel, batch: dict) -> tuple[float, float]:
 
     value_loss = 0.0
     if value_entries:
-        X = np.concatenate(
-            [
-                value_features(
-                    e.encoding,
-                    np.array([[e.key.s.row, e.key.s.col, e.key.s2.row, e.key.s2.col]]),
-                )
-                for e in value_entries
-            ]
-        )
+        # One value_features call per board: a row depends only on its board
+        # and pair, so grouping the rows leaves every byte of X as it was.
+        boards: dict[tuple, list[int]] = {}
+        for k, e in enumerate(value_entries):
+            walls = e.encoding == WALL
+            boards.setdefault((walls.shape, walls.tobytes()), []).append(k)
+        X = np.empty((len(value_entries), VALUE_DIM))
+        for rows in boards.values():
+            pairs = [(*value_entries[k].key.s, *value_entries[k].key.s2) for k in rows]
+            X[rows] = value_features(value_entries[rows[0]].encoding, np.array(pairs))
         g = np.array([e.target for e in value_entries])
         z, A = model._head_forward("value", X)
         # stable Bernoulli cross-entropy: g*softplus(-z) + (1-g)*softplus(z)
@@ -464,18 +465,25 @@ def train_step(model: TrainableModel, batch: dict) -> tuple[float, float]:
             feats.append(prior_features(e.encoding, e.s, e.s2, cands))
         X = np.concatenate(feats)
         z, A = model._head_forward("prior", X)
+        # Softmax and cross-entropy over the entries stacked by candidate
+        # count; math.log and the row dot products keep every bit of the
+        # one-entry-at-a-time form.
+        lens = np.array([len(F) for F in feats])
+        starts = np.cumsum(lens) - lens
         dz = np.empty_like(z)
-        off = 0
-        total = 0.0
-        for e, F in zip(prior_entries, feats):
-            m = len(F)
-            zs = z[off : off + m]
-            p = _softmax(zs)
-            logp = zs - (np.max(zs) + math.log(np.sum(np.exp(zs - np.max(zs)))))
-            total += float(-np.dot(e.target, logp))
-            dz[off : off + m] = (p - e.target) / len(prior_entries)
-            off += m
-        prior_loss = total / len(prior_entries)
+        losses = np.empty(len(prior_entries))
+        for m in np.unique(lens):
+            rows = np.flatnonzero(lens == m)
+            at = starts[rows, None] + np.arange(m)
+            zs = z[at]
+            target = np.stack([prior_entries[k].target for k in rows])
+            top = zs.max(axis=1, keepdims=True)
+            e = np.exp(zs - top)
+            total = e.sum(axis=1, keepdims=True)
+            logp = zs - (top + np.array([[math.log(t)] for t in total.ravel()]))
+            losses[rows] = -np.matmul(target[:, None, :], logp[:, :, None]).ravel()
+            dz[at] = (e / total - target) / len(prior_entries)
+        prior_loss = sum(losses.tolist()) / len(prior_entries)
         _head_backward(model, grads, "prior", X, A, dz)
 
     if not math.isfinite(prior_loss) or not math.isfinite(value_loss):

@@ -1,10 +1,22 @@
 """Divide-and-conquer MCTS over sub-goals, plan extraction, and baselines.
 
-A traversal walks the AND/OR tree from the root task (start, goal).  At an
-unexpanded node it expands and returns the bootstrap max(v_pi, v_hat); at an
-expanded node it selects a sub-goal by pUCT, recurses into the two sub-tasks,
-multiplies their returns, floors the result at the node's own low-level
-value, and folds it into the node's running average.
+A traversal walks the AND/OR tree from the root task (start, goal).  A
+sub-task that the low-level policy already solves (v_pi = 1) is terminal: it
+returns 1.0 and is never expanded, visited or charged budget, since the
+backup floor max(G, v_pi) pins its value at 1 anyway.  At any other
+unexpanded node the traversal expands and returns the bootstrap
+max(v_pi, v_hat); at an expanded node it selects a sub-goal by pUCT,
+recurses into the two sub-tasks, multiplies their returns, floors the result
+at the node's own low-level value, and folds it into the node's running
+average.  Search stops when the budget is spent (``budget``), when every
+reachable unsolved key is expanded (``key_cap``), or after
+IDLE_TRAVERSAL_LIMIT traversals in a row without an expansion (``idle``).
+
+Ties in Select break by a keyed hash of (seed, traversal, path key), so a
+draw depends only on where in the search it happens.  Extraction splits only
+tree keys, at mids with a child that is in the tree or solved outright (the
+mask S = T | (v_pi == 1) of _Extractor), so a plan can end in solved
+segments that search never expanded.
 
 Modes:
   divide_and_conquer   traverse both children of the chosen split
@@ -308,11 +320,15 @@ def _traverse(
 ) -> float:
     """One traversal below the key (cells[i], cells[j]); returns its G.
 
-    The walk runs on cell indices.  The two sub-tasks of a split share
+    A key the low-level policy solves (v_pi = 1) returns 1.0 untouched.  The
+    walk runs on cell indices.  The two sub-tasks of a split share
     transposition nodes and the budget counter, so the left one is
     traversed to completion before the right.  The children of path_key
     are 2·path_key (left) and 2·path_key + 1 (right).
     """
+    v_pi = ctx.v_pi.item(i, j)
+    if v_pi == 1.0:
+        return 1.0
     if i * ctx.n + j not in tree.and_counts:
         try:
             expand_node(tree, i, j)
@@ -323,7 +339,6 @@ def _traverse(
     pick = _argmax_with_ties(selection_scores(tree, i, j, ctx.config.c_puct), tie_fn, path_key)
     touch_and_node(tree, i, j, pick)
 
-    v_pi = ctx.v_pi.item(i, j)
     if pick == 0 or depth >= ctx.config.max_depth:
         G = v_pi
     else:
@@ -355,29 +370,68 @@ def _traverse(
     return G
 
 
+_MASK64 = (1 << 64) - 1
+_MORE_WORDS = 0xD6E8FEB86659FD93
+
+
+def _mix64(z: int) -> int:
+    """The splitmix64 finalizer of the 64-bit word z."""
+    z = (z + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _chain64(h: int, x: int) -> int:
+    """Fold the non-negative integer x into the hash h, 64 bits at a time
+    from the lowest, so keys past 2^64 (paths deeper than 63) stay distinct.
+    A word with more words above it is marked, so a chain of integers folds
+    unambiguously: (2^64) is not (0, 1)."""
+    while x >> 64:
+        h = _mix64(h ^ (x & _MASK64)) ^ _MORE_WORDS
+        x >>= 64
+    return _mix64(h ^ x)
+
+
 class _TieBreaker:
-    """Order-independent tie randomness: each (traversal, path) position
-    draws from its own stream, so evaluation order cannot change a draw."""
+    """Order-independent tie randomness: a draw is a keyed hash of (seed,
+    traversal, path key), mapped to [0, n) by (h · n) >> 64, so evaluation
+    order cannot change it."""
 
     def __init__(self, seed: int):
-        self._seed = seed
+        if seed < 0:
+            raise ValueError(f"tie-break seed must be non-negative, got {seed}")
+        self._key = _chain64(0, seed)
         self._traversal = 0
 
     def next_traversal(self) -> TieFn:
-        t = self._traversal
+        key = _chain64(self._key, self._traversal)
         self._traversal += 1
 
         def tie_fn(path_key: int, n: int) -> int:
-            ss = np.random.SeedSequence(entropy=self._seed, spawn_key=(t, path_key))
-            return int(np.random.default_rng(ss).integers(n))
+            return (_chain64(key, path_key) * n) >> 64
 
         return tie_fn
 
 
-def _reachable_key_cap(n: int, max_depth: int, mode: str) -> int:
-    if mode == "sequential_right":
-        return n  # only (x, goal) keys are ever visited
-    return n * n if max_depth >= 2 else 2 * n - 1
+def _reachable_key_cap(v_pi: np.ndarray, ri: int, rj: int, max_depth: int, mode: str) -> int:
+    """How many keys a search from the root (ri, rj) can expand: those with
+    v_pi < 1 that some chain of splits reaches within max_depth levels.
+    An unsolved key shallower than max_depth splits into (i, x) and (x, j)
+    for every cell x (only (x, j) in sequential mode), so a level makes
+    whole rows and columns reachable.  A solved root gives 0."""
+    open_keys = v_pi < 1.0
+    reach = np.zeros_like(open_keys)
+    reach[ri, rj] = True
+    for _ in range(max_depth):
+        splits = reach & open_keys
+        grown = reach | splits.any(axis=0)
+        if mode != "sequential_right":
+            grown |= splits.any(axis=1)[:, None]
+        if (grown == reach).all():
+            break
+        reach = grown
+    return int(np.count_nonzero(reach & open_keys))
 
 
 class _Extractor:
@@ -387,15 +441,18 @@ class _Extractor:
     into searched sub-tasks using at most d more split levels: segments are
     worth v_pi, and a split is worth the product of its children's values.
     Over the dense (n, n) matrices this is a masked max-product.  With T the
-    "key in tree" mask and W_0 = v_pi, level d is
+    "key in tree" mask, S = T | (v_pi == 1) the keys that are searched or
+    solved outright, and W_0 = v_pi, level d is
 
         W_d[i, j] = max(v_pi[i, j], max over x in M[i, j] of W_{d-1}[i, x] · W_{d-1}[x, j])
 
     for every tree key (i, j), and W_d = v_pi elsewhere.  The candidate mask
-    M admits mids x with at least one child in the tree, T[i, x] | T[x, j]
-    (the right child T[x, j] alone in sequential mode, whose left factor is
-    v_pi[i, x]), and never x = i or x = j; a child outside the tree
-    contributes its v_pi as a direct segment.  This scores plans by what
+    M admits mids x with at least one child searched or solved,
+    S[i, x] | S[x, j] (the right child S[x, j] alone in sequential mode,
+    whose left factor is v_pi[i, x]), and never x = i or x = j; a child
+    outside the tree contributes its v_pi as a direct segment.  Solved keys
+    are terminal in search, so they are never tree keys, yet a mid whose
+    children are solved is a plan worth 1.  This scores plans by what
     executing them is actually worth, so an unvisited branch can never lure
     extraction into a dead segment.  A mid is chosen only when it strictly
     beats v_pi, so ties prefer ∅, then the first mid in row-major order.
@@ -407,8 +464,9 @@ class _Extractor:
         self.seq = ctx.config.mode == "sequential_right"
         self.T = T = np.zeros((ctx.n, ctx.n), dtype=bool)
         T.reshape(-1)[list(tree.and_counts)] = True
+        self.S = S = T | (ctx.v_pi == 1.0)
         I, J = np.nonzero(T)
-        M = T[:, J].T if self.seq else T[I] | T[:, J].T
+        M = S[:, J].T if self.seq else S[I] | S[:, J].T
         rows = np.arange(len(I))
         M[rows, I] = False
         M[rows, J] = False
@@ -432,7 +490,7 @@ class _Extractor:
         return levels
 
     def _best_mid(self, i: int, j: int, d: int) -> int | None:
-        mask = self.T[:, j].copy() if self.seq else self.T[i] | self.T[:, j]
+        mask = self.S[:, j].copy() if self.seq else self.S[i] | self.S[:, j]
         mask[i] = mask[j] = False
         scores = self._split_scores(self.levels[d - 1], i, j, mask)
         x = int(np.argmax(scores))
@@ -498,14 +556,22 @@ def run_search(
     ctx = PlanningContext(tree, task, heuristics, config, low_level)
     ri, rj = ctx.kidx(root)
     breaker = _TieBreaker(config.seed)
-    cap = _reachable_key_cap(ctx.n, config.max_depth, config.mode)
-    traversals = 0
-    idle = 0
-    while tree.budget_used < config.budget and len(tree.and_counts) < cap and idle < IDLE_TRAVERSAL_LIMIT:
-        before = tree.budget_used
-        _traverse(ctx, tree, ri, rj, 0, 1, breaker.next_traversal())
-        traversals += 1
-        idle = idle + 1 if tree.budget_used == before else 0
+    cap = _reachable_key_cap(ctx.v_pi, ri, rj, config.max_depth, config.mode)
+    traversals = idle = 0
+    while True:
+        if tree.budget_used >= config.budget:
+            stop = "budget"
+        elif len(tree.and_counts) >= cap:
+            stop = "key_cap"
+        elif idle >= IDLE_TRAVERSAL_LIMIT:
+            stop = "idle"
+        else:
+            before = tree.budget_used
+            _traverse(ctx, tree, ri, rj, 0, 1, breaker.next_traversal())
+            traversals += 1
+            idle = idle + 1 if tree.budget_used == before else 0
+            continue
+        break
 
     sol_root = _extract(ctx, tree, root)
     sigma = tuple(_flatten(sol_root))
@@ -516,6 +582,7 @@ def run_search(
         "and_nodes": sum(int(np.count_nonzero(c)) for c in tree.and_counts.values()),
         "budget_used": tree.budget_used,
         "traversals": traversals,
+        "stop": stop,
         "root_V": float(tree.V[ri, rj]),
         "root_N": int(tree.N[ri, rj]),
     }

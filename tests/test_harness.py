@@ -249,6 +249,7 @@ class TestRender:
         assert fields["mode"] == "divide_and_conquer"
         assert fields["budget"] == "30"
         assert fields["budget_used"] == str(result.budget_used)
+        assert fields["stop"] == result.tree_stats["stop"]
         assert float(fields["L"]) == result.plan.objective_L
         assert float(fields["G"]) == result.returns[0][1]
         assert len(fields["plan"].split(" ")) == len(result.plan.sigma)

@@ -632,6 +632,59 @@ class TestTrainStep:
         assert got[0] == pytest.approx(expected[0], rel=1e-12)
         assert got[1] == pytest.approx(expected[1], rel=1e-12)
 
+    def test_value_rows_built_once_per_board_in_entry_order(self, monkeypatch):
+        # value entries of two boards, interleaved; encodings of one maze
+        # with other starts and goals share its board
+        mazes = [generate_maze(5, 5, 0.5, seed=6), generate_maze(5, 5, 0.5, seed=8)]
+        rng = np.random.default_rng(4)
+        model = TrainableModel(hidden=6, seed=2)
+        for k in model.params:
+            model.params[k] = rng.normal(0, 0.4, model.params[k].shape)
+        values = []
+        for k in range(8):
+            cells = mazes[k % 2].empty_cells
+            a, b = rng.integers(len(cells), size=2)
+            enc = encode_task(Task(mazes[k % 2], cells[k], cells[-1 - k]))
+            values.append(ValueEntry(enc, OrKey(cells[int(a)], cells[int(b)]), float(rng.random())))
+        batch = {**make_batch(mazes[0], rng), "value": values}
+        expected = manual_losses(model.params, batch)
+        calls = []
+        value_features = heuristics_module.value_features
+
+        def counted(cells, pairs):
+            calls.append(len(pairs))
+            return value_features(cells, pairs)
+
+        monkeypatch.setattr(heuristics_module, "value_features", counted)
+        got = train_step(model, batch)
+        assert calls == [4, 4]
+        assert got[1] == pytest.approx(expected[1], rel=1e-12)
+
+    def test_prior_loss_is_the_per_entry_form_bit_for_bit(self):
+        # entries of two board sizes (two candidate counts), interleaved
+        mazes = [generate_maze(5, 5, 0.5, seed=6), generate_maze(7, 7, 0.5, seed=8)]
+        rng = np.random.default_rng(5)
+        model = TrainableModel(hidden=6, seed=2)
+        for k in model.params:
+            model.params[k] = rng.normal(0, 2.0, model.params[k].shape)
+        priors, cands = [], []
+        for k in range(7):
+            maze = mazes[k % 2]
+            cells = maze.empty_cells
+            w = rng.random(len(cells) + 1)
+            enc = encode_task(Task(maze, cells[0], cells[-1]))
+            priors.append(PriorEntry(enc, cells[k], None, cells[-1 - k], w / w.sum()))
+            cands.append(candidate_subgoals(maze))
+        X = np.concatenate([prior_features(e.encoding, e.s, e.s2, c) for e, c in zip(priors, cands)])
+        z, _ = model._head_forward("prior", X)
+        total, off = 0.0, 0
+        for e in priors:
+            zs = z[off : off + len(e.target)]
+            off += len(e.target)
+            logp = zs - (np.max(zs) + math.log(np.sum(np.exp(zs - np.max(zs)))))
+            total += float(-np.dot(e.target, logp))
+        assert train_step(model, {"prior": priors})[0] == total / len(priors)
+
     def test_repeated_steps_reduce_loss(self):
         maze = generate_maze(5, 5, 0.5, seed=7)
         model = TrainableModel(hidden=8, learning_rate=0.05, seed=3)
@@ -724,7 +777,7 @@ class TestTrainStep:
         calls.clear()
         batch = make_batch(maze, np.random.default_rng(2))
         train_step(model, batch)
-        assert calls == ["value_features"] * 3 + ["prior_features"] * 2
+        assert calls == ["value_features"] + ["prior_features"] * 2  # one value call per board
 
     def test_mismatched_prior_target_rejected(self):
         maze = row_maze(3)
@@ -962,7 +1015,7 @@ class TestReplayPersistence:
 # training loop
 
 
-GOLDEN_TRAINING_SHA256 = "f7bd4234e3353876a5d376fb472c508633e4bee9254b44187d54fa72fc0f15eb"
+GOLDEN_TRAINING_SHA256 = "5808ecafdd76e687bc63326be8e3e29efcb21aefacc1d89d2e26cf0be5ea0d8f"
 
 
 def tiny_configs(episodes: int, **train_kw):
@@ -1036,14 +1089,14 @@ class TestTrainingLoop:
         assert seen == [0, 1, 2]
 
     def test_training_golden_checkpoint(self):
-        """A short 7×7 run with five train_step calls reproduces a pinned
+        """A short 7×7 run with six train_step calls reproduces a pinned
         checkpoint, so any change to the features, their row order or the
         gradient sums shows up here."""
         env = EnvConfig(width=7, height=7, density=0.75)
         pcfg = PlannerConfig(budget=20, c_puct=5.0)
         tcfg = TrainConfig(episodes=8, batch_size=4, capacity=64, hidden=8, learning_rate=1e-2)
         run = training_loop(env, pcfg, tcfg, seed=7)
-        assert sum(r.prior_loss is not None for r in run.records) == 5
+        assert sum(r.prior_loss is not None for r in run.records) == 6
         digest = hashlib.sha256(save_checkpoint(run.model, 8).encode()).hexdigest()
         assert digest == GOLDEN_TRAINING_SHA256
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats as scipy_stats
 
 from subplan.gridworld import Maze, Pi0, StateId, Task, generate_maze, sample_task
 from subplan.heuristics import (
@@ -24,10 +25,12 @@ from subplan.heuristics import (
 )
 from subplan.oracle import ExactHeuristics, StochasticTestPolicy, exact_value_table
 from subplan.planner import (
+    IDLE_TRAVERSAL_LIMIT,
     MODES,
     PlannerConfig,
     PlanningContext,
     _argmax_with_ties,
+    _reachable_key_cap,
     _TieBreaker,
     _traverse,
     descend_one,
@@ -332,6 +335,8 @@ class TestTraverse:
         assert stats(tree, tree.root)[1] == 0  # bootstrap pass: no update
 
     def test_adjacent_root_floor_keeps_value_one(self):
+        # pi0 solves an adjacent root (v_pi = 1), so the root is terminal: it
+        # returns 1.0 and is never expanded, visited or charged budget
         maze = row_maze(2)
         task = Task(maze, cell(0, 0), cell(0, 1))
         tree, ctx = make_search(task, StubHeuristics(), PlannerConfig(budget=5))
@@ -339,7 +344,10 @@ class TestTraverse:
         for _ in range(3):
             g = _traverse(ctx, tree, *ctx.kidx(tree.root), 0, 1, breaker.next_traversal())
             assert g == 1.0
-        assert stats(tree, tree.root)[0] == 1.0
+        assert tree.budget_used == 0
+        assert not tree.and_counts
+        assert tree.V[ctx.kidx(tree.root)] == 1.0
+        assert tree.N[ctx.kidx(tree.root)] == 0
 
     def test_product_of_child_returns(self):
         # G_left=0.9, G_right=0.8, v_pi=0 -> G = 0.72
@@ -484,6 +492,164 @@ class TestBookkeeping:
         for (i, j), gs in recorded.items():
             assert res.tree.N[i, j] == len(gs)
             assert res.tree.V[i, j] == pytest.approx(float(np.mean(gs)), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# solved sub-tasks are terminal
+
+
+def reachable_open_keys(ctx, root, max_depth) -> int:
+    """Keys with v_pi < 1 that a chain of splits from root reaches within
+    max_depth levels, by breadth-first search over keys: an unsolved key
+    splits at every cell x into (i, x) and (x, j), or into (x, j) alone in
+    sequential mode."""
+    seq = ctx.config.mode == "sequential_right"
+    seen = {root}
+    frontier = [root]
+    for _ in range(max_depth):
+        grown = []
+        for i, j in frontier:
+            if ctx.v_pi[i, j] == 1.0:
+                continue
+            for x in range(ctx.n):
+                for child in ((x, j),) if seq else ((i, x), (x, j)):
+                    if child not in seen:
+                        seen.add(child)
+                        grown.append(child)
+        frontier = grown
+    return sum(bool(ctx.v_pi[k] < 1.0) for k in seen)
+
+
+class TestSolvedKeysAreTerminal:
+    @given(
+        size=st.tuples(st.integers(5, 9), st.integers(5, 9)),
+        density=st.floats(0.0, 1.0),
+        maze_seed=st.integers(0, 10_000),
+        mode=st.sampled_from(MODES),
+        budget=st.integers(1, 120),
+        max_depth=st.integers(1, 8),
+        model_seed=st.none() | st.integers(0, 100),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_searches_never_touch_solved_keys(
+        self, size, density, maze_seed, mode, budget, max_depth, model_seed
+    ):
+        maze = generate_maze(size[0], size[1], density, maze_seed)
+        task = sample_task(maze, maze_seed)
+        heur = UntrainedHeuristics() if model_seed is None else seeded_model(model_seed)
+        cfg = PlannerConfig(budget=budget, max_depth=max_depth, mode=mode, seed=maze_seed)
+        res = run_search(task, heur, cfg)
+        tree, ctx = res.tree, res.tree.context
+        solved = ctx.v_pi == 1.0
+        assert not (expanded_mask(tree) & solved).any()
+        assert not tree.N[solved].any()
+        assert res.budget_used == len(tree.and_counts)
+        cap = _reachable_key_cap(ctx.v_pi, *ctx.kidx(tree.root), max_depth, mode)
+        assert cap == reachable_open_keys(ctx, ctx.kidx(tree.root), max_depth)
+        assert res.budget_used <= cap
+        assert res.tree_stats["stop"] == (
+            "budget" if res.budget_used == budget else "key_cap" if res.budget_used == cap
+            else "idle"
+        )
+
+    @pytest.mark.parametrize("goal", [cell(1, 1), cell(1, 2), cell(2, 1)])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_solved_root_runs_no_traversal(self, goal, mode):
+        task = Task(open_grid(4), cell(1, 1), goal)
+        res = run_search(task, StubHeuristics(vhat=0.5), PlannerConfig(budget=50, mode=mode))
+        assert res.plan.sigma == (task.start, task.goal)
+        assert res.plan.objective_L == 1.0
+        assert res.budget_used == 0
+        assert res.tree_stats["traversals"] == 0
+        assert res.tree_stats["stop"] == "key_cap"
+        assert res.solution_tree.root.terminal
+
+    @pytest.mark.parametrize("size, mode", [(3, "divide_and_conquer"), (6, "sequential_right")])
+    def test_open_grid_stops_on_key_cap(self, size, mode):
+        # every unsolved key gets expanded well before an idle streak
+        task = Task(open_grid(size), cell(0, 0), cell(size - 1, size - 1))
+        res = run_search(task, StubHeuristics(), PlannerConfig(budget=10_000, mode=mode))
+        ctx = res.tree.context
+        assert res.tree_stats["stop"] == "key_cap"
+        assert res.tree_stats["traversals"] < IDLE_TRAVERSAL_LIMIT
+        assert res.budget_used == reachable_open_keys(ctx, ctx.kidx(res.tree.root), 8)
+
+    def test_idle_stop_when_select_keeps_a_solved_split(self):
+        # in a 1×4 row a, b, c, d the root (a, c) splits at b into two solved
+        # keys worth 1; without exploration Select picks b on every later
+        # traversal, which never expands anything
+        a, b, c = cell(0, 0), cell(0, 1), cell(0, 2)
+        task = Task(row_maze(4), a, c)
+        res = run_search(task, StubHeuristics(), PlannerConfig(budget=50, c_puct=0.0))
+        assert res.tree_stats["stop"] == "idle"
+        assert res.tree_stats["traversals"] == 1 + IDLE_TRAVERSAL_LIMIT
+        assert res.budget_used == 1
+        assert res.plan.sigma == (a, b, c)
+
+    def test_budget_stop(self):
+        maze = generate_maze(9, 9, 0.5, seed=3)
+        res = run_search(sample_task(maze, 3), StubHeuristics(vhat=0.3), PlannerConfig(budget=20))
+        assert res.tree_stats["stop"] == "budget"
+        assert res.budget_used == 20
+
+
+# ---------------------------------------------------------------------------
+# the tie stream
+
+
+class TestTieStream:
+    KEYS = (1, 2, 3, 1 << 40, (1 << 64) - 1, 1 << 64, (1 << 64) + 1, (1 << 70) + 3, 1 << 130)
+
+    def test_a_draw_is_a_pure_function_of_its_position(self):
+        positions = [(t, k) for t in range(4) for k in self.KEYS]
+        forward = _TieBreaker(7)
+        fns = [forward.next_traversal() for _ in range(4)]
+        want = [fns[t](k, 1 << 62) for t, k in positions]
+        backward = _TieBreaker(7)
+        fns = [backward.next_traversal() for _ in range(4)]
+        assert [fns[t](k, 1 << 62) for t, k in reversed(positions)] == want[::-1]
+
+    def test_seed_traversal_and_path_key_each_change_the_draw(self):
+        # over 2^62 options, distinct positions give distinct draws; that
+        # includes path keys that agree in their low 64 bits
+        draws = set()
+        for seed in (0, 1, 1 << 64):
+            breaker = _TieBreaker(seed)
+            for _ in range(20):
+                fn = breaker.next_traversal()
+                draws.update(fn(k, 1 << 62) for k in self.KEYS)
+        assert len(draws) == 3 * 20 * len(self.KEYS)
+
+    def test_single_option_is_zero(self):
+        breaker = _TieBreaker(3)
+        for _ in range(5):
+            fn = breaker.next_traversal()
+            assert all(fn(k, 1) == 0 for k in self.KEYS)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            _TieBreaker(-1)
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_draws_are_uniform(self, n):
+        breaker = _TieBreaker(11)
+        counts = np.zeros(n)
+        for _ in range(500):
+            fn = breaker.next_traversal()
+            for k in range(1, 21):
+                counts[fn(k, n)] += 1
+        assert scipy_stats.chisquare(counts).pvalue > 1e-3
+
+    def test_sibling_draws_are_independent(self):
+        # (left child, right child) draws over 4 options fill the 16 cells
+        # of their joint table evenly
+        breaker = _TieBreaker(5)
+        table = np.zeros((4, 4))
+        for _ in range(400):
+            fn = breaker.next_traversal()
+            for k in range(1, 9):
+                table[fn(2 * k, 4), fn(2 * k + 1, 4)] += 1
+        assert scipy_stats.chisquare(table.ravel()).pvalue > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -776,12 +942,14 @@ class TestExtraction:
 
 def reference_extract(ctx, tree, key, d):
     """Extraction as a loop over keys x candidates x levels: per-key dicts of
-    level values, candidates in row-major order, strict > against v_pi.
-    Returns the solution node and the level dicts."""
+    level values, candidates in row-major order, strict > against v_pi.  A
+    candidate mid has a child that is in the tree or that pi0 solves
+    (v_pi = 1).  Returns the solution node and the level dicts."""
     seq = ctx.config.mode == "sequential_right"
     in_tree = keys(tree)
+    solved = [OrKey(a, b) for a in ctx.cells for b in ctx.cells if vpi(ctx, OrKey(a, b)) == 1.0]
     left_anchor, right_anchor = {}, {}
-    for k in in_tree:
+    for k in in_tree + solved:  # a mid needs a child that is searched or solved
         left_anchor.setdefault(k.s, set()).add(k.s2)
         right_anchor.setdefault(k.s2, set()).add(k.s)
     cands = {}
@@ -1009,11 +1177,10 @@ def search_fingerprint(budget: int = 30, seeds=(0, 2, 5)) -> str:
     return h.hexdigest()
 
 
-# Pinned on the planner that rebuilt its select-time child values on every
-# visit; a change to the search's results, however small, changes it.
-# Update it only with a CHANGES.md note naming the deliberate change in
-# behaviour.
-GOLDEN_SEARCH_SHA256 = "b1af42789992e1a79afaa4f62384dd03d2bafa03d7c8fdcd03514593bc739beb"
+# Pinned when solved sub-tasks became terminal and tie draws a keyed hash; a
+# change to the search's results, however small, changes it.  Update it only
+# with a CHANGES.md note naming the deliberate change in behaviour.
+GOLDEN_SEARCH_SHA256 = "6c2260efe2ebe4535863612424e8703a97f68d51cfaf7431958e810236a54c21"
 
 
 def test_golden_search_fingerprint():
