@@ -93,8 +93,6 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.mode = canonical_mode(self.mode)
-        if self.episodes < 0:
-            raise ValueError("episodes must be non-negative")
         if self.eval_every <= 0:
             raise ValueError("eval_every must be positive")
         # constructing the sub-configs validates the remaining fields

@@ -20,6 +20,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from numpy.typing import ArrayLike
 
 from subplan.gridworld import (
     EMPTY,
@@ -83,6 +84,11 @@ BOARD_CACHE_SIZE = 64  # boards whose wall patches and candidates stay cached
 # Prior feature columns that describe the candidate x; they are 0 on a ∅ row.
 _X_COLS = np.r_[1:7, 10, 11, 13, 14, 16 + PP : 16 + 2 * PP]
 _NO_CELL = (0, 0)  # where a ∅ row is computed before its _X_COLS are zeroed
+# A prior row's offsets (x - s, s'' - x, s'' - s) are one linear map of its
+# candidate cell x and its end row (s, s''): x @ _X_OFFSETS + ends @ _ENDS_OFFSETS.
+_X_OFFSETS = np.array([[1, 0, -1, 0, 0, 0], [0, 1, 0, -1, 0, 0]])
+_ENDS_OFFSETS = np.array([[-1, 0, 0, 0, -1, 0], [0, -1, 0, 0, 0, -1],
+                          [0, 0, 1, 0, 1, 0], [0, 0, 0, 1, 0, 1]])
 
 
 class _Board(NamedTuple):
@@ -112,7 +118,8 @@ def _pair_columns(out: np.ndarray, d: np.ndarray, scale: float) -> None:
     offsets (dr, dc): out[:, :3t] holds (dr, dc, |dr| + |dc|) / scale per
     pair, out[:, 3t:4t] the adjacent flags and out[:, 4t:5t] the equal flags."""
     k, t, _ = d.shape
-    dist = np.abs(d).sum(axis=2, keepdims=True)
+    dist = np.abs(d)
+    dist = dist[:, :, :1] + dist[:, :, 1:]
     out[:, : 3 * t] = (np.concatenate((d, dist), axis=2) / scale).reshape(k, 3 * t)
     dist = dist.reshape(k, t)
     out[:, 3 * t : 4 * t] = dist == 1
@@ -141,40 +148,41 @@ def value_features(cells: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     return out
 
 
-def prior_features(
-    cells: np.ndarray, s: StateId, s2: StateId, candidates: Sequence[SubGoal]
-) -> np.ndarray:
-    """(len(candidates), PRIOR_DIM) features for sub-task (s, s'').
+def prior_features(cells: np.ndarray, ends: ArrayLike, candidates: Sequence[SubGoal]) -> np.ndarray:
+    """(E·m, PRIOR_DIM) features for E sub-tasks, rows (r1, c1, r2, c2) of
+    ends, over the same m candidates.
 
-    A row holds the ∅ flag; the offsets of s → x, x → s'' and s → s''; the
-    adjacent flags and the equal flags of those three pairs; the wall
-    windows around s, x and s''; and the board size, each as in
-    value_features and from the same cached patch tensor.  On a ∅ row every
-    column about x is 0.
+    The rows are entry-major: entry e's candidate rows are e·m .. e·m + m - 1,
+    in the order of candidates.  A row holds the ∅ flag; the offsets of
+    s → x, x → s'' and s → s''; the adjacent flags and the equal flags of
+    those three pairs; the wall windows around s, x and s''; and the board
+    size, each as in value_features and from the same cached patch tensor.
+    On a ∅ row every column about x is 0.  A row depends only on its board,
+    its ends and its candidate, so one call over E entries gives the bytes
+    of E one-row calls stacked.
     """
     height, width = cells.shape
     patches = _board(cells).patches
-    m = len(candidates)
+    ends = np.asarray(ends, dtype=np.int64).reshape(-1, 4)
+    e, m = len(ends), len(candidates)
     xy = np.fromiter(
         itertools.chain.from_iterable(_NO_CELL if x is None else x for x in candidates),
         dtype=np.int64, count=2 * m,
     ).reshape(m, 2)
-    ends = np.array((s, s2), dtype=np.int64)
-    d = np.empty((m, 3, 2), dtype=np.int64)
-    np.subtract(xy, ends[0], out=d[:, 0])
-    np.subtract(ends[1], xy, out=d[:, 1])
-    d[:, 2] = ends[1] - ends[0]
-    out = np.empty((m, PRIOR_DIM))
+    d = xy @ _X_OFFSETS + (ends @ _ENDS_OFFSETS)[:, None]  # (E, m, 6)
+    out = np.empty((e * m, PRIOR_DIM))
     out[:, 0] = 0.0
-    _pair_columns(out[:, 1:16], d, float(max(height, width)))
-    out[:, 16 : 16 + PP] = patches[s]
-    out[:, 16 + PP : 16 + 2 * PP] = patches[xy[:, 0], xy[:, 1]]
-    out[:, 16 + 2 * PP : 16 + 3 * PP] = patches[s2]
+    _pair_columns(out[:, 1:16], d.reshape(e * m, 3, 2), float(max(height, width)))
+    rows = out.reshape(e, m, PRIOR_DIM)
+    rows[:, :, 16 + PP : 16 + 2 * PP] = patches[xy[:, 0], xy[:, 1]]
+    for i, (r1, c1, r2, c2) in enumerate(ends.tolist()):
+        rows[i, :, 16 : 16 + PP] = patches[r1, c1]
+        rows[i, :, 16 + 2 * PP : 16 + 3 * PP] = patches[r2, c2]
     out[:, -2:] = (height / 32.0, width / 32.0)
     for k, x in enumerate(candidates):
         if x is None:
-            out[k, _X_COLS] = 0.0
-            out[k, 0] = 1.0
+            out[k::m, _X_COLS] = 0.0
+            out[k::m, 0] = 1.0
     return out
 
 
@@ -255,7 +263,7 @@ class TrainableModel:
     def prior_logits(
         self, cells: np.ndarray, s: StateId, s2: StateId, candidates: Sequence[SubGoal]
     ) -> np.ndarray:
-        X = prior_features(cells, s, s2, candidates)
+        X = prior_features(cells, [(*s, *s2)], candidates)
         z, _ = self._head_forward("prior", X)
         return z
 
@@ -426,9 +434,25 @@ def prior_targets_from_tree(tree: SearchTree, key: OrKey) -> np.ndarray | None:
 # training step
 
 
+def _by_board(entries) -> dict[tuple, list[int]]:
+    """Batch positions of the entries, grouped by board (shape and wall bytes)
+    in order of first appearance."""
+    boards: dict[tuple, list[int]] = {}
+    for k, e in enumerate(entries):
+        walls = e.encoding == WALL
+        boards.setdefault((walls.shape, walls.tobytes()), []).append(k)
+    return boards
+
+
 def train_step(model: TrainableModel, batch: dict) -> tuple[float, float]:
     """One gradient step on summed cross-entropy losses; returns the mean
-    prior and value losses of the batch."""
+    prior and value losses of the batch.
+
+    Features are built with one value_features and one prior_features call
+    per board.  A row depends only on its board and entry, so each board's
+    rows are written back at their entries' positions and X keeps the bytes
+    (and the row order of X.T @ dZ1) of a per-entry build in batch order.
+    """
     grads = {k: np.zeros_like(v) for k, v in model.params.items()}
     value_entries = batch.get("value", [])
     prior_entries = batch.get("prior", [])
@@ -437,14 +461,8 @@ def train_step(model: TrainableModel, batch: dict) -> tuple[float, float]:
 
     value_loss = 0.0
     if value_entries:
-        # One value_features call per board: a row depends only on its board
-        # and pair, so grouping the rows leaves every byte of X as it was.
-        boards: dict[tuple, list[int]] = {}
-        for k, e in enumerate(value_entries):
-            walls = e.encoding == WALL
-            boards.setdefault((walls.shape, walls.tobytes()), []).append(k)
         X = np.empty((len(value_entries), VALUE_DIM))
-        for rows in boards.values():
+        for rows in _by_board(value_entries).values():
             pairs = [(*value_entries[k].key.s, *value_entries[k].key.s2) for k in rows]
             X[rows] = value_features(value_entries[rows[0]].encoding, np.array(pairs))
         g = np.array([e.target for e in value_entries])
@@ -457,19 +475,22 @@ def train_step(model: TrainableModel, batch: dict) -> tuple[float, float]:
 
     prior_loss = 0.0
     if prior_entries:
-        feats = []
-        for e in prior_entries:
-            cands = _board(e.encoding).candidates
-            if len(cands) != len(e.target):
+        boards = [(_board_of_walls(*key).candidates, rows)
+                  for key, rows in _by_board(prior_entries).items()]
+        for cands, rows in boards:
+            if any(len(prior_entries[k].target) != len(cands) for k in rows):
                 raise ValueError("prior target length does not match candidates")
-            feats.append(prior_features(e.encoding, e.s, e.s2, cands))
-        X = np.concatenate(feats)
+        lens = np.array([len(e.target) for e in prior_entries])
+        starts = np.cumsum(lens) - lens
+        X = np.empty((lens.sum(), PRIOR_DIM))
+        for cands, rows in boards:
+            ends = [(*prior_entries[k].s, *prior_entries[k].s2) for k in rows]
+            at = (starts[rows, None] + np.arange(len(cands))).ravel()
+            X[at] = prior_features(prior_entries[rows[0]].encoding, ends, cands)
         z, A = model._head_forward("prior", X)
         # Softmax and cross-entropy over the entries stacked by candidate
         # count; math.log and the row dot products keep every bit of the
         # one-entry-at-a-time form.
-        lens = np.array([len(F) for F in feats])
-        starts = np.cumsum(lens) - lens
         dz = np.empty_like(z)
         losses = np.empty(len(prior_entries))
         for m in np.unique(lens):
@@ -497,11 +518,15 @@ def train_step(model: TrainableModel, batch: dict) -> tuple[float, float]:
 
 
 def _head_backward(model, grads, head, X, A, dz) -> None:
+    """Add one head's gradients to grads.  A is overwritten and holds dZ1
+    afterwards, so the pass makes one full-size temporary, tanh' = 1 - A²."""
     w2 = model.params[f"{head}_w2"]
     grads[f"{head}_w2"] += A.T @ dz
     grads[f"{head}_b2"] += np.array([np.sum(dz)])
-    dA = np.outer(dz, w2)
-    dZ1 = dA * (1.0 - A * A)
+    slope = np.multiply(A, A)
+    np.subtract(1.0, slope, out=slope)
+    dZ1 = np.multiply(dz[:, None], w2, out=A)  # dA = np.outer(dz, w2), once A is used
+    dZ1 *= slope
     grads[f"{head}_w1"] += X.T @ dZ1
     grads[f"{head}_b1"] += np.sum(dZ1, axis=0)
 
@@ -749,8 +774,11 @@ class TrainConfig:
         if self.parser not in PARSER_KINDS:
             raise ValueError(f"unknown parser {self.parser!r}")
         _check_model_settings(self.hidden, self.temperature, self.learning_rate, self.optimizer)
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.episodes < 0:
+            raise ValueError("episodes must be non-negative")
+        if not 1 <= self.batch_size <= self.capacity:
+            raise ValueError(f"batch_size must lie in [1, capacity {self.capacity}], "
+                             f"got {self.batch_size}")
 
 
 @dataclass(frozen=True)

@@ -94,8 +94,8 @@ class PlannerConfig:
             raise ValueError("budget must be at least 1")
         if self.max_depth < 1:
             raise ValueError("max_depth must be at least 1")
-        if self.c_puct < 0:
-            raise ValueError("c_puct must be non-negative")
+        if not (math.isfinite(self.c_puct) and self.c_puct >= 0):
+            raise ValueError(f"c_puct must be finite and non-negative, got {self.c_puct!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
 

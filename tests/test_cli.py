@@ -284,11 +284,18 @@ class TestValidateAndMisc:
         good.write_text(serialize_config(ExperimentConfig()))
         assert run_cli("validate", str(good), capsys=capsys)[0] == 0
         for k, line in enumerate(("temperature = 0.0", "learning_rate = nan", "hidden = 0",
-                                  "batch_size = 0")):
+                                  "batch_size = 0", "c_puct = nan", "batch_size = 4096")):
             bad = tmp_path / f"bad{k}.txt"
             bad.write_text(f"{line}\n")
             code, _ = run_cli("validate", str(bad), capsys=capsys)
             assert code == 2, line
+
+    def test_eval_rejects_a_c_puct_no_search_can_use(self, capsys):
+        for value in ("nan", "inf", "-1"):
+            assert main(["eval", "--untrained", "--tasks", "2", "--c-puct", value]) == 2, value
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: c_puct"), captured.err
+            assert "c_puct =" not in captured.out
 
     def test_a_truncated_checkpoint_is_named_in_the_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

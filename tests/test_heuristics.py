@@ -109,6 +109,11 @@ def reference_value_features(cells: np.ndarray, pairs: np.ndarray) -> np.ndarray
     return out
 
 
+def end_rows(*pairs) -> np.ndarray:
+    """The (E, 4) end rows (r1, c1, r2, c2) of (s, s'') cell pairs."""
+    return np.array([(*s, *s2) for s, s2 in pairs], dtype=np.int64).reshape(-1, 4)
+
+
 def reference_prior_features(cells, s: StateId, s2: StateId, candidates) -> np.ndarray:
     """Loop form of prior_features, one candidate at a time."""
     height, width = cells.shape
@@ -177,9 +182,24 @@ class TestFeaturesMatchLoopForm:
         s, s2 = (as_cell(rc) for rc in on_board(rng, cells, 2))
         cands = [None if rng.random() < null_share else as_cell(rc)
                  for rc in on_board(rng, cells, m)]
-        got = prior_features(cells, s, s2, cands)
+        got = prior_features(cells, end_rows((s, s2)), cands)
         assert got.shape == (m, PRIOR_DIM)
         assert got.tobytes() == reference_prior_features(cells, s, s2, cands).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(boards(), st.integers(0, 6), st.integers(0, 20), st.floats(0.0, 1.0))
+    def test_prior_features_over_many_entries(self, board, e, m, null_share):
+        """E end rows give the E one-row reference blocks, entry-major."""
+        cells, rng = board
+        ends = np.hstack([on_board(rng, cells, e), on_board(rng, cells, e)])
+        cands = [None if rng.random() < null_share else as_cell(rc)
+                 for rc in on_board(rng, cells, m)]
+        got = prior_features(cells, ends, cands)
+        assert got.shape == (e * m, PRIOR_DIM)
+        blocks = [reference_prior_features(cells, as_cell(row[:2]), as_cell(row[2:]), cands)
+                  for row in ends]
+        want = np.concatenate(blocks) if blocks else np.empty((0, PRIOR_DIM))
+        assert got.tobytes() == want.tobytes()
 
     def test_empty_pair_array(self):
         cells = generate_maze(7, 5, 0.5, seed=1).cells
@@ -192,9 +212,10 @@ class TestFeaturesMatchLoopForm:
         maze = generate_maze(6, 9, 0.5, seed=4)
         s = maze.empty_cells[3]
         for cands in ([None], [None, s], [s, None, s]):
-            got = prior_features(maze.cells, s, s, cands)
+            got = prior_features(maze.cells, end_rows((s, s)), cands)
             assert got.tobytes() == reference_prior_features(maze.cells, s, s, cands).tobytes()
-        assert np.array_equal(prior_features(maze.cells, s, s, [None])[0, [0, 15]], [1.0, 1.0])
+        assert np.array_equal(prior_features(maze.cells, end_rows((s, s)), [None])[0, [0, 15]],
+                              [1.0, 1.0])
 
     def test_boards_of_one_shape_do_not_share_features(self):
         a = np.zeros((7, 7), dtype=np.uint8)
@@ -202,10 +223,11 @@ class TestFeaturesMatchLoopForm:
         b[3, 4] = WALL
         pairs = np.array([[3, 3, 3, 5]])
         cands = [None, StateId(3, 4), StateId(2, 2)]
+        ends = end_rows((StateId(3, 3), StateId(3, 5)))
         for cells in (a, b, a, b):
             assert value_features(cells, pairs).tobytes() == \
                 reference_value_features(cells, pairs).tobytes()
-            assert prior_features(cells, StateId(3, 3), StateId(3, 5), cands).tobytes() == \
+            assert prior_features(cells, ends, cands).tobytes() == \
                 reference_prior_features(cells, StateId(3, 3), StateId(3, 5), cands).tobytes()
         assert not np.array_equal(value_features(a, pairs), value_features(b, pairs))
 
@@ -227,8 +249,9 @@ class TestFeaturesMatchLoopForm:
         pairs = np.array([[task.start.row, task.start.col, task.goal.row, task.goal.col]])
         cands = candidate_subgoals(maze)
         assert value_features(enc, pairs).tobytes() == value_features(maze.cells, pairs).tobytes()
-        assert prior_features(enc, task.start, task.goal, cands).tobytes() == \
-            prior_features(maze.cells, task.start, task.goal, cands).tobytes()
+        ends = end_rows((task.start, task.goal))
+        assert prior_features(enc, ends, cands).tobytes() == \
+            prior_features(maze.cells, ends, cands).tobytes()
 
     def test_board_cache_is_bounded_and_read_only(self):
         pairs = np.array([[0, 0, 1, 1]])
@@ -256,7 +279,7 @@ class TestFeatures:
         maze = generate_maze(7, 7, 0.5, seed=2)
         task = Task(maze, maze.empty_cells[0], maze.empty_cells[-1])
         cands = candidate_subgoals(task.maze)
-        X = prior_features(maze.cells, task.start, task.goal, cands)
+        X = prior_features(maze.cells, end_rows((task.start, task.goal)), cands)
         assert X.shape == (len(cands), PRIOR_DIM)
         assert X[0, 0] == 1.0
         assert np.all(X[1:, 0] == 0.0)
@@ -611,6 +634,88 @@ def manual_losses(params: dict, batch: dict) -> tuple[float, float]:
     return prior_loss, value_loss
 
 
+def reference_train_step(model: TrainableModel, batch: dict) -> tuple[float, float]:
+    """train_step one entry at a time: a feature block per entry, a softmax
+    per entry, and the np.outer backward pass."""
+    grads = {k: np.zeros_like(v) for k, v in model.params.items()}
+
+    def backward(head, X, A, dz):
+        w2 = model.params[f"{head}_w2"]
+        grads[f"{head}_w2"] += A.T @ dz
+        grads[f"{head}_b2"] += np.array([np.sum(dz)])
+        dZ1 = np.outer(dz, w2) * (1.0 - A * A)
+        grads[f"{head}_w1"] += X.T @ dZ1
+        grads[f"{head}_b1"] += np.sum(dZ1, axis=0)
+
+    value_loss = 0.0
+    if batch.get("value"):
+        entries = batch["value"]
+        X = np.concatenate([reference_value_features(e.encoding, np.array([[*e.key.s, *e.key.s2]]))
+                            for e in entries])
+        g = np.array([e.target for e in entries])
+        z, A = model._head_forward("value", X)
+        value_loss = float(np.mean(g * np.logaddexp(0.0, -z) + (1.0 - g) * np.logaddexp(0.0, z)))
+        backward("value", X, A, (heuristics_module._sigmoid(z) - g) / len(entries))
+
+    prior_loss = 0.0
+    if batch.get("prior"):
+        entries = batch["prior"]
+        X = np.concatenate([
+            reference_prior_features(e.encoding, e.s, e.s2,
+                                     [None, *map(as_cell, np.argwhere(e.encoding != WALL))])
+            for e in entries
+        ])
+        z, A = model._head_forward("prior", X)
+        dz = np.empty_like(z)
+        off = 0
+        for e in entries:
+            zs = z[off : off + len(e.target)]
+            top = np.max(zs)
+            ez = np.exp(zs - top)
+            total = np.sum(ez)
+            prior_loss += float(-np.dot(e.target, zs - (top + math.log(total))))
+            dz[off : off + len(e.target)] = (ez / total - e.target) / len(entries)
+            off += len(e.target)
+        prior_loss /= len(entries)
+        backward("prior", X, A, dz)
+
+    heuristics_module._apply_gradients(model, grads)
+    return prior_loss, value_loss
+
+
+@st.composite
+def training_batches(draw):
+    """A batch over 2-3 boards with different cell counts: encodings of one
+    maze carry different starts and goals, entries repeat, and mids are
+    cells or ∅."""
+    shapes = draw(st.lists(st.tuples(st.integers(5, 9), st.integers(5, 9)), min_size=2,
+                           max_size=3, unique_by=lambda hw: hw[0] * hw[1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mazes = [generate_maze(w, h, float(rng.random()), seed=int(rng.integers(2**31)))
+             for h, w in shapes]
+
+    def pick(cells):
+        return cells[int(rng.integers(len(cells)))]
+
+    def encoding(maze):
+        start, goal = rng.choice(len(maze.empty_cells), 2, replace=False)
+        return encode_task(Task(maze, maze.empty_cells[start], maze.empty_cells[goal]))
+
+    priors, values = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        maze = mazes[int(rng.integers(len(mazes)))]
+        w = rng.random(len(maze.empty_cells) + 1) ** 4
+        mid = None if rng.random() < 0.3 else pick(maze.empty_cells)
+        priors.append(PriorEntry(encoding(maze), pick(maze.empty_cells), mid,
+                                 pick(maze.empty_cells), w / w.sum()))
+        maze = mazes[int(rng.integers(len(mazes)))]
+        key = OrKey(pick(maze.empty_cells), pick(maze.empty_cells))
+        values.append(ValueEntry(encoding(maze), key, float(rng.random())))
+    repeats = draw(st.lists(st.integers(0, len(priors) - 1), max_size=6))
+    return {"prior": priors + [priors[k] for k in repeats],
+            "value": values + [values[k] for k in repeats[::-1]]}
+
+
 class TestTrainStep:
     def test_fresh_model_losses_are_entropy(self):
         maze = row_maze(3)
@@ -675,7 +780,8 @@ class TestTrainStep:
             enc = encode_task(Task(maze, cells[0], cells[-1]))
             priors.append(PriorEntry(enc, cells[k], None, cells[-1 - k], w / w.sum()))
             cands.append(candidate_subgoals(maze))
-        X = np.concatenate([prior_features(e.encoding, e.s, e.s2, c) for e, c in zip(priors, cands)])
+        X = np.concatenate([prior_features(e.encoding, end_rows((e.s, e.s2)), c)
+                            for e, c in zip(priors, cands)])
         z, _ = model._head_forward("prior", X)
         total, off = 0.0, 0
         for e in priors:
@@ -684,6 +790,24 @@ class TestTrainStep:
             logp = zs - (np.max(zs) + math.log(np.sum(np.exp(zs - np.max(zs)))))
             total += float(-np.dot(e.target, logp))
         assert train_step(model, {"prior": priors})[0] == total / len(priors)
+
+    @settings(max_examples=40, deadline=None)
+    @given(training_batches(), st.sampled_from(["sgd", "adam"]), st.integers(0, 2**32 - 1),
+           st.sampled_from([(True, True), (True, False), (False, True)]))
+    def test_matches_the_per_entry_reference_byte_for_byte(self, batch, optimizer, seed, heads):
+        batch = {k: v for (k, v), keep in zip(batch.items(), heads) if keep}
+        rng = np.random.default_rng(seed)
+        model = TrainableModel(hidden=7, optimizer=optimizer, learning_rate=0.05, seed=seed % 97)
+        for k in model.params:
+            model.params[k] = rng.normal(0, 0.6, model.params[k].shape)
+        reference = load_checkpoint(save_checkpoint(model))[0]
+        for _ in range(2):
+            assert train_step(model, batch) == reference_train_step(reference, batch)
+        for name in model.params:
+            assert model.params[name].tobytes() == reference.params[name].tobytes(), name
+            assert model.adam_m[name].tobytes() == reference.adam_m[name].tobytes(), name
+            assert model.adam_v[name].tobytes() == reference.adam_v[name].tobytes(), name
+        assert model.adam_t == reference.adam_t
 
     def test_repeated_steps_reduce_loss(self):
         maze = generate_maze(5, 5, 0.5, seed=7)
@@ -777,7 +901,13 @@ class TestTrainStep:
         calls.clear()
         batch = make_batch(maze, np.random.default_rng(2))
         train_step(model, batch)
-        assert calls == ["value_features"] + ["prior_features"] * 2  # one value call per board
+        assert calls == ["value_features", "prior_features"]  # one call per board
+        calls.clear()
+        other = make_batch(generate_maze(7, 7, 0.5, seed=8), np.random.default_rng(3))
+        mixed = {"prior": batch["prior"] + other["prior"] + batch["prior"],
+                 "value": other["value"] + batch["value"]}
+        train_step(model, mixed)
+        assert calls == ["value_features"] * 2 + ["prior_features"] * 2
 
     def test_mismatched_prior_target_rejected(self):
         maze = row_maze(3)
@@ -786,6 +916,16 @@ class TestTrainStep:
         bad = PriorEntry(enc, cell(0, 0), None, cell(0, 2), np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="length"):
             train_step(model, {"prior": [bad]})
+
+    def test_prior_targets_are_checked_before_any_features(self, monkeypatch):
+        good = make_batch(generate_maze(5, 5, 0.5, seed=6), np.random.default_rng(0))["prior"]
+        enc = encode_task(Task(row_maze(3), cell(0, 0), cell(0, 2)))
+        bad = PriorEntry(enc, cell(0, 0), None, cell(0, 2), np.array([0.5, 0.5]))
+        calls = []
+        monkeypatch.setattr(heuristics_module, "prior_features", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="length"):
+            train_step(TrainableModel(hidden=4, seed=0), {"prior": [*good, bad]})
+        assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -911,6 +1051,14 @@ class TestModelSettings:
             with pytest.raises(ValueError):
                 TrainConfig(batch_size=size)
         assert TrainConfig(batch_size=1).batch_size == 1
+
+    def test_train_config_rejects_a_run_that_can_never_train(self):
+        with pytest.raises(ValueError, match="batch_size"):
+            TrainConfig(batch_size=4096, capacity=2048)
+        with pytest.raises(ValueError, match="episodes must be non-negative"):
+            TrainConfig(episodes=-3)
+        assert TrainConfig(batch_size=64, capacity=64).capacity == 64
+        assert TrainConfig(episodes=0).episodes == 0
 
     def test_the_smallest_valid_settings_are_accepted(self):
         kw = {"hidden": 1, "temperature": 5e-324, "learning_rate": 5e-324}

@@ -1297,7 +1297,8 @@ class TestConfig:
             PlannerConfig(budget=0)
         with pytest.raises(ValueError):
             PlannerConfig(budget=1, max_depth=0)
-        with pytest.raises(ValueError):
-            PlannerConfig(budget=1, c_puct=-0.1)
+        for c_puct in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="c_puct"):
+                PlannerConfig(budget=1, c_puct=c_puct)
         with pytest.raises(ValueError):
             PlannerConfig(budget=1, mode="nonsense")
