@@ -17,8 +17,6 @@ from . import harness
 from .gridworld import (
     StateId,
     Task,
-    bfs_distances,
-    format_cell,
     generate_maze,
     parse_cell,
     parse_maze,
@@ -79,21 +77,29 @@ def _load_heuristics(args) -> tuple[object, str]:
     return UntrainedHeuristics(), "untrained"
 
 
+def _add_heuristics_flags(p: argparse.ArgumentParser, required: bool = False):
+    group = p.add_mutually_exclusive_group(required=required)
+    group.add_argument("--checkpoint", default=None,
+                       help="heuristics checkpoint (default: untrained)")
+    group.add_argument("--untrained", action="store_true",
+                       help="use untrained heuristics")
+
+
 def _add_planner_flags(p: argparse.ArgumentParser, budget_default: int = 100):
     p.add_argument("--budget", type=_positive_int, default=budget_default,
                    help="search budget in node expansions")
     p.add_argument("--mode", type=_mode, default="dc",
                    help="planner mode (dc, sequential, or a descend variant)")
-    p.add_argument("--c-puct", type=float, default=5.0)
-    p.add_argument("--max-depth", type=_positive_int, default=8)
+    p.add_argument("--c-puct", type=float, default=PlannerConfig.c_puct)
+    p.add_argument("--max-depth", type=_positive_int, default=PlannerConfig.max_depth)
 
 
 def _add_env_flags(p: argparse.ArgumentParser):
-    p.add_argument("--size", type=_positive_int, default=11,
+    p.add_argument("--size", type=_positive_int, default=EnvConfig.width,
                    help="maze side length (square)")
     p.add_argument("--width", type=_positive_int, default=None)
     p.add_argument("--height", type=_positive_int, default=None)
-    p.add_argument("--density", type=_density, default=0.75)
+    p.add_argument("--density", type=_density, default=EnvConfig.density)
     p.add_argument("--step-limit", type=_positive_int, default=None)
 
 
@@ -125,15 +131,6 @@ def cmd_plan(args) -> int:
     if start is None or goal is None:
         print("error: start and goal required (flags or S/G markers in the "
               "maze file)", file=sys.stderr)
-        return 2
-    for name, s in (("start", start), ("goal", goal)):
-        if not (0 <= s.row < maze.height and 0 <= s.col < maze.width) or maze.cells[s.row, s.col]:
-            print(f"error: {name} {format_cell(s)} is not an empty cell",
-                  file=sys.stderr)
-            return 2
-    if goal not in bfs_distances(maze, start):
-        print(f"error: goal {format_cell(goal)} is unreachable from start "
-              f"{format_cell(start)}", file=sys.stderr)
         return 2
     task = Task(maze, start, goal)
     heuristics, _ = _load_heuristics(args)
@@ -252,9 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="measure solve fraction on fresh tasks")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--checkpoint", default=None)
-    group.add_argument("--untrained", action="store_true")
+    _add_heuristics_flags(p, required=True)
     p.add_argument("--tasks", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
@@ -271,29 +266,25 @@ def build_parser() -> argparse.ArgumentParser:
                    help="budget sweep instead, e.g. 50,100,200,400")
     p.add_argument("--modes", type=_mode_list_default, default=["dc", "sequential"],
                    help="modes for the budget sweep")
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--untrained", action="store_true",
-                   help="use untrained heuristics (the default)")
+    _add_heuristics_flags(p)
     p.add_argument("--tasks", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     _add_env_flags(p)
-    p.add_argument("--c-puct", type=float, default=5.0)
-    p.add_argument("--max-depth", type=_positive_int, default=8)
+    p.add_argument("--c-puct", type=float, default=PlannerConfig.c_puct)
+    p.add_argument("--max-depth", type=_positive_int, default=PlannerConfig.max_depth)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("sweep", help="sweep the exploration constant")
     p.add_argument("--c-pucts", type=_float_list, default=[3.0, 4.0, 5.0, 6.0, 7.0])
     p.add_argument("--budget", type=_positive_int, default=100)
     p.add_argument("--mode", type=_mode, default="dc")
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--untrained", action="store_true",
-                   help="use untrained heuristics (the default)")
+    _add_heuristics_flags(p)
     p.add_argument("--tasks", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     _add_env_flags(p)
-    p.add_argument("--max-depth", type=_positive_int, default=8)
+    p.add_argument("--max-depth", type=_positive_int, default=PlannerConfig.max_depth)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("validate", help="check files the harness writes")

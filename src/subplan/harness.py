@@ -13,7 +13,7 @@ import math
 import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, get_type_hints
 
 import numpy as np
 
@@ -68,25 +68,26 @@ def canonical_mode(name: str) -> str:
 
 @dataclass
 class ExperimentConfig:
-    """Flat bundle of environment, planner, and training settings."""
+    """Flat bundle of environment, planner, and training settings.  The field
+    order is the config file's line order; sub-configs own shared defaults."""
 
-    width: int = 11
-    height: int = 11
-    density: float = 0.75
-    step_limit: int | None = None
+    width: int = EnvConfig.width
+    height: int = EnvConfig.height
+    density: float = EnvConfig.density
+    step_limit: int | None = EnvConfig.step_limit
     budget: int = 100
-    c_puct: float = 5.0
-    max_depth: int = 8
-    mode: str = "divide_and_conquer"
-    episodes: int = 1000
-    parser: str = "temporally_balanced"
-    batch_size: int = 128
-    capacity: int = 2048
-    learning_rate: float = 1e-3
-    optimizer: str = "sgd"
-    temperature: float = 0.003
-    hidden: int = 64
-    mc_value_targets: bool = False
+    c_puct: float = PlannerConfig.c_puct
+    max_depth: int = PlannerConfig.max_depth
+    mode: str = PlannerConfig.mode
+    episodes: int = TrainConfig.episodes
+    parser: str = TrainConfig.parser
+    batch_size: int = TrainConfig.batch_size
+    capacity: int = TrainConfig.capacity
+    learning_rate: float = TrainConfig.learning_rate
+    optimizer: str = TrainConfig.optimizer
+    temperature: float = TrainConfig.temperature
+    hidden: int = TrainConfig.hidden
+    mc_value_targets: bool = TrainConfig.mc_value_targets
     eval_every: int = 250
     seed: int = 0
     out_dir: str = "run"
@@ -100,51 +101,57 @@ class ExperimentConfig:
         self.planner_config()
         self.train_config()
 
+    def _sub_config(self, cls):
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
+
     def env_config(self) -> EnvConfig:
-        return EnvConfig(self.width, self.height, self.density, self.step_limit)
+        return self._sub_config(EnvConfig)
 
     def planner_config(self) -> PlannerConfig:
-        return PlannerConfig(budget=self.budget, max_depth=self.max_depth,
-                             c_puct=self.c_puct, mode=self.mode,
-                             seed=self.seed)
+        return self._sub_config(PlannerConfig)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(episodes=self.episodes, parser=self.parser,
-                           batch_size=self.batch_size, capacity=self.capacity,
-                           learning_rate=self.learning_rate,
-                           optimizer=self.optimizer,
-                           temperature=self.temperature, hidden=self.hidden,
-                           mc_value_targets=self.mc_value_targets)
+        return self._sub_config(TrainConfig)
 
-
-_INT_FIELDS = {"width", "height", "budget", "max_depth", "episodes",
-               "batch_size", "capacity", "hidden", "eval_every", "seed"}
-_FLOAT_FIELDS = {"density", "c_puct", "learning_rate", "temperature"}
-_BOOL_FIELDS = {"mc_value_targets"}
-_OPT_INT_FIELDS = {"step_limit"}
 
 _TRUE = {"true", "1", "yes", "on"}
 _FALSE = {"false", "0", "no", "off"}
 
 
-def _coerce(name: str, raw):
+def _coerce(name: str, hint, raw):
+    """Convert a raw string to the field's declared type `hint`."""
     if not isinstance(raw, str):
         return raw
     value = raw.strip()
-    if name in _INT_FIELDS:
-        return int(value)
-    if name in _FLOAT_FIELDS:
-        return float(value)
-    if name in _OPT_INT_FIELDS:
+    if hint == int | None:
         return None if value.lower() in ("none", "null", "") else int(value)
-    if name in _BOOL_FIELDS:
+    if hint is bool:
         low = value.lower()
         if low in _TRUE:
             return True
         if low in _FALSE:
             return False
         raise ValueError(f"config key {name!r}: expected a boolean, got {raw!r}")
-    return value
+    return hint(value)
+
+
+def _typed(cls, raw: Mapping[str, object]) -> dict:
+    """Raw record values converted to `cls`'s declared field types."""
+    hints = get_type_hints(cls)
+    return {name: _coerce(name, hints[name], value) for name, value in raw.items()}
+
+
+def _record_text(value) -> str:
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _record_lines(obj) -> list[str]:
+    """`name = value` lines for a dataclass's fields in declaration order."""
+    return [f"{f.name} = {_record_text(getattr(obj, f.name))}" for f in fields(obj)]
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -174,8 +181,7 @@ def experiment_config(mapping: Mapping[str, object],
             override = environ.get(ENV_PREFIX + name.upper())
             if override is not None:
                 values[name] = override
-    kwargs = {name: _coerce(name, value) for name, value in values.items()}
-    return ExperimentConfig(**kwargs)
+    return ExperimentConfig(**_typed(ExperimentConfig, values))
 
 
 def load_config_file(path: str | Path,
@@ -186,17 +192,7 @@ def load_config_file(path: str | Path,
 
 
 def serialize_config(config: ExperimentConfig) -> str:
-    lines = []
-    for f in fields(ExperimentConfig):
-        value = getattr(config, f.name)
-        if value is None:
-            text = "none"
-        elif isinstance(value, bool):
-            text = "true" if value else "false"
-        else:
-            text = repr(value) if isinstance(value, float) else str(value)
-        lines.append(f"{f.name} = {text}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(_record_lines(config)) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -386,18 +382,8 @@ def evaluate(heuristics, env: EnvConfig, planner_config: PlannerConfig,
                        ci_low=low, ci_high=high, seed=seed, heuristics=label)
 
 
-_SUMMARY_FIELDS = ("mode", "width", "height", "density", "budget", "c_puct",
-                   "tasks", "solved", "fraction", "ci_low", "ci_high",
-                   "seed", "heuristics")
-
-
 def serialize_summary(summary: EvalSummary) -> str:
-    lines = ["summary v1"]
-    for name in _SUMMARY_FIELDS:
-        value = getattr(summary, name)
-        text = repr(value) if isinstance(value, float) else str(value)
-        lines.append(f"{name} = {text}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(["summary v1", *_record_lines(summary)]) + "\n"
 
 
 def parse_summary(text: str) -> EvalSummary:
@@ -405,21 +391,11 @@ def parse_summary(text: str) -> EvalSummary:
     if not lines or lines[0] != "summary v1":
         raise ValueError("bad summary header")
     raw = parse_config_text("\n".join(lines[1:]))
-    missing = [k for k in _SUMMARY_FIELDS if k not in raw]
+    names = [f.name for f in fields(EvalSummary)]
+    missing = [k for k in names if k not in raw]
     if missing:
         raise ValueError(f"summary missing fields {missing}")
-    ints = {"width", "height", "budget", "tasks", "solved", "seed"}
-    floats = {"density", "c_puct", "fraction", "ci_low", "ci_high"}
-    kwargs = {}
-    for name in _SUMMARY_FIELDS:
-        value = raw[name]
-        if name in ints:
-            kwargs[name] = int(value)
-        elif name in floats:
-            kwargs[name] = float(value)
-        else:
-            kwargs[name] = value
-    return EvalSummary(**kwargs)
+    return EvalSummary(**_typed(EvalSummary, {k: raw[k] for k in names}))
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +504,8 @@ def learning_curve_table(run_dirs: Sequence[str | Path], window: int) -> str:
 
 def budget_sweep_table(heuristics, label: str, env: EnvConfig,
                        budgets: Sequence[int], modes: Sequence[str],
-                       tasks: int, seed: int, c_puct: float = 5.0,
-                       max_depth: int = 8) -> str:
+                       tasks: int, seed: int, c_puct: float = PlannerConfig.c_puct,
+                       max_depth: int = PlannerConfig.max_depth) -> str:
     """Solve fraction per (budget, mode) on one shared evaluation task set."""
     if not budgets or not modes:
         raise ValueError("need at least one budget and one mode")
@@ -554,7 +530,7 @@ def budget_sweep_table(heuristics, label: str, env: EnvConfig,
 
 def sweep_table(heuristics, label: str, env: EnvConfig,
                 c_pucts: Sequence[float], budget: int, mode: str,
-                tasks: int, seed: int, max_depth: int = 8) -> str:
+                tasks: int, seed: int, max_depth: int = PlannerConfig.max_depth) -> str:
     """Solve fraction per exploration constant on one shared task set."""
     if not c_pucts:
         raise ValueError("need at least one c_puct sample")
@@ -592,63 +568,52 @@ def parse_table(text: str) -> tuple[list[str], list[list[float]]]:
 # artifact validation
 
 
+def _first_line(text: str) -> str:
+    return (text.splitlines() or [""])[0]
+
+
+def _check_metrics(text: str) -> None:
+    if not parse_metrics_text(text):
+        raise ValueError("metrics file has no records")
+
+
+def _check_plan_report(text: str) -> None:
+    body = text.split("\n\n", 1)[0]
+    raw = parse_config_text("\n".join(body.splitlines()[1:]))
+    for key in ("mode", "budget", "budget_used", "L", "G", "plan"):
+        if key not in raw:
+            raise ValueError(f"plan report missing {key!r}")
+
+
+# (kind, test on the file text, strict parser), tried in order
+_ARTIFACT_KINDS = (
+    ("maze", lambda t: _first_line(t).startswith("maze v1"), parse_maze),
+    ("checkpoint", lambda t: _first_line(t) == "model v1", load_checkpoint),
+    ("replay", lambda t: _first_line(t) == "replay v1", load_replay),
+    ("summary", lambda t: _first_line(t) == "summary v1", parse_summary),
+    ("table", lambda t: _first_line(t) in ("compare v1", "sweep v1"), parse_table),
+    ("plan-report", lambda t: _first_line(t) == "plan v1", _check_plan_report),
+    ("tree-dump", lambda t: _first_line(t).startswith("OR "), load_tree_dump),
+    ("metrics", lambda t: t.lstrip().startswith("{"), _check_metrics),
+    ("config", lambda t: True, lambda t: experiment_config(parse_config_text(t))),
+)
+
+
+def _artifact_kind(text: str):
+    return next(entry for entry in _ARTIFACT_KINDS if entry[1](text))
+
+
 def detect_artifact_type(text: str) -> str:
-    stripped = text.lstrip()
-    first = text.splitlines()[0] if text.splitlines() else ""
-    if first.startswith("maze v1"):
-        return "maze"
-    if first == "model v1":
-        return "checkpoint"
-    if first == "replay v1":
-        return "replay"
-    if first == "summary v1":
-        return "summary"
-    if first in ("compare v1", "sweep v1"):
-        return "table"
-    if first == "plan v1":
-        return "plan-report"
-    if first.startswith("OR "):
-        return "tree-dump"
-    if stripped.startswith("{"):
-        return "metrics"
-    return "config"
+    return _artifact_kind(text)[0]
 
 
 def validate_artifact(text: str) -> str:
     """Parse a harness-written file strictly; returns its detected type."""
     if not text.strip():
         raise ValueError("empty artifact file")
-    kind = detect_artifact_type(text)
+    kind, _, check = _artifact_kind(text)
     try:
-        _validate_as(kind, text)
-    except ValueError:
-        raise
+        check(text)
     except Exception as exc:  # any parse failure means an invalid file
         raise ValueError(f"invalid {kind} file: {exc}") from exc
     return kind
-
-
-def _validate_as(kind: str, text: str) -> None:
-    if kind == "maze":
-        parse_maze(text)
-    elif kind == "checkpoint":
-        load_checkpoint(text)
-    elif kind == "replay":
-        load_replay(text)
-    elif kind == "summary":
-        parse_summary(text)
-    elif kind == "table":
-        parse_table(text)
-    elif kind == "tree-dump":
-        load_tree_dump(text)
-    elif kind == "metrics":
-        if not parse_metrics_text(text):
-            raise ValueError("metrics file has no records")
-    elif kind == "plan-report":
-        body = text.split("\n\n", 1)[0]
-        raw = parse_config_text("\n".join(body.splitlines()[1:]))
-        for key in ("mode", "budget", "budget_used", "L", "G", "plan"):
-            if key not in raw:
-                raise ValueError(f"plan report missing {key!r}")
-    else:
-        experiment_config(parse_config_text(text))

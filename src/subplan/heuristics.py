@@ -827,6 +827,9 @@ def training_loop(
         )
     if buffer is None:
         buffer = ReplayBuffer(capacity=train_config.capacity)
+    if buffer.capacity < train_config.batch_size:
+        raise ValueError(f"replay capacity {buffer.capacity} is below batch_size "
+                         f"{train_config.batch_size}: no train_step could ever run")
 
     records: list[TrainRecord] = []
     for episode in range(start_episode, train_config.episodes):

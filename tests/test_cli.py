@@ -153,6 +153,13 @@ class TestPlan:
                           "--goal", "0,4", "--budget", "4", capsys=capsys)
         assert code == 2
 
+    def test_off_board_start_is_runtime_error(self, tmp_path, capsys):
+        maze = open_maze_file(tmp_path)
+        code = main(["plan", "--maze", str(maze), "--start", "9,9",
+                     "--goal", "2,2", "--budget", "4"])
+        assert code == 2
+        assert "error: task start" in capsys.readouterr().err
+
     def test_missing_endpoints_is_runtime_error(self, tmp_path, capsys):
         maze = open_maze_file(tmp_path)
         code, _ = run_cli("plan", "--maze", str(maze), "--budget", "4",
@@ -259,6 +266,13 @@ class TestTrainCompare:
         header, rows = parse_table(text)
         assert header[0] == "c_puct"
         assert len(rows) == 2
+
+    def test_checkpoint_and_untrained_conflict(self, tmp_path, capsys):
+        ckpt = str(tmp_path / "model.txt")
+        for command in (("compare", "--budgets", "4"), ("sweep",)):
+            code, _ = run_cli(*command, "--checkpoint", ckpt, "--untrained",
+                              capsys=capsys)
+            assert code == 1, command
 
 
 class TestValidateAndMisc:

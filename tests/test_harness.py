@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -38,7 +40,7 @@ from subplan.harness import (
     validate_artifact,
     wilson_interval,
 )
-from subplan.heuristics import EnvConfig, UntrainedHeuristics, load_checkpoint
+from subplan.heuristics import EnvConfig, TrainConfig, UntrainedHeuristics, load_checkpoint
 from subplan.oracle import ExactHeuristics, exact_value_table
 from subplan.planner import PlannerConfig, SolutionNode, SolutionTree, run_search
 
@@ -118,6 +120,44 @@ class TestConfig:
         path = tmp_path / "cfg.txt"
         path.write_text(serialize_config(cfg))
         assert load_config_file(path, environ={}) == cfg
+
+    def test_default_config_text(self):
+        assert serialize_config(ExperimentConfig()) == "".join([
+            "width = 11\n", "height = 11\n", "density = 0.75\n",
+            "step_limit = none\n", "budget = 100\n", "c_puct = 5.0\n",
+            "max_depth = 8\n", "mode = divide_and_conquer\n",
+            "episodes = 1000\n", "parser = temporally_balanced\n",
+            "batch_size = 128\n", "capacity = 2048\n",
+            "learning_rate = 0.001\n", "optimizer = sgd\n",
+            "temperature = 0.003\n", "hidden = 64\n",
+            "mc_value_targets = false\n", "eval_every = 250\n", "seed = 0\n",
+            "out_dir = run\n",
+        ])
+
+    def test_sub_configs_share_defaults(self):
+        cfg = ExperimentConfig()
+        assert cfg.env_config() == EnvConfig()
+        assert cfg.planner_config() == PlannerConfig(budget=100)
+        assert cfg.train_config() == TrainConfig()
+
+    def test_sub_config_fields_are_config_fields(self):
+        """Each sub-config field is an ExperimentConfig field of the same
+        declared type, so a config file line reaches it by name."""
+        hints = get_type_hints(ExperimentConfig)
+        for cls in (EnvConfig, PlannerConfig, TrainConfig):
+            for name, kind in get_type_hints(cls).items():
+                assert hints[name] == kind, (cls.__name__, name)
+
+    def test_sub_configs_carry_values(self):
+        cfg = ExperimentConfig(width=7, height=5, density=0.6, step_limit=9,
+                               budget=42, c_puct=2.5, max_depth=3,
+                               mode="sequential", episodes=12, batch_size=8,
+                               capacity=16, mc_value_targets=True, seed=3)
+        assert cfg.env_config() == EnvConfig(7, 5, 0.6, 9)
+        assert cfg.planner_config() == PlannerConfig(
+            budget=42, max_depth=3, c_puct=2.5, mode="sequential_right", seed=3)
+        assert cfg.train_config() == TrainConfig(
+            episodes=12, batch_size=8, capacity=16, mc_value_targets=True)
 
     def test_mode_aliases(self):
         assert canonical_mode("dc") == "divide_and_conquer"
@@ -301,9 +341,25 @@ class TestEvaluate:
                         density=0.5, budget=10, c_puct=5.0, tasks=8,
                         solved=3, fraction=0.375, ci_low=0.1, ci_high=0.7,
                         seed=5, heuristics="untrained")
-        assert parse_summary(serialize_summary(s)) == s
+        parsed = parse_summary(serialize_summary(s))
+        assert parsed == s
+        assert [type(getattr(parsed, f.name)) for f in fields(s)] == \
+            [type(getattr(s, f.name)) for f in fields(s)]
         with pytest.raises(ValueError, match="header"):
             parse_summary("summary v2\n")
+        with pytest.raises(ValueError, match="missing fields"):
+            parse_summary("summary v1\nmode = divide_and_conquer\n")
+
+    def test_summary_text(self):
+        s = EvalSummary(mode="sequential_right", width=7, height=5,
+                        density=0.6, budget=10, c_puct=5.0, tasks=3,
+                        solved=1, fraction=1 / 3, ci_low=0.1, ci_high=0.7,
+                        seed=5, heuristics="untrained")
+        assert serialize_summary(s) == (
+            "summary v1\nmode = sequential_right\nwidth = 7\nheight = 5\n"
+            "density = 0.6\nbudget = 10\nc_puct = 5.0\ntasks = 3\n"
+            "solved = 1\nfraction = 0.3333333333333333\nci_low = 0.1\n"
+            "ci_high = 0.7\nseed = 5\nheuristics = untrained\n")
 
     def test_tasks_must_be_positive(self):
         with pytest.raises(ValueError, match="tasks"):
@@ -356,6 +412,14 @@ class TestRunTraining:
     def test_resume_requires_checkpoint(self, tmp_path):
         with pytest.raises(ValueError, match="resume"):
             run_training(tiny_experiment(3), tmp_path, resume=True)
+
+    def test_resume_replay_below_batch_size_rejected(self, tmp_path):
+        """A snapshot whose replay capacity is below the resumed config's
+        batch size could never feed a train_step."""
+        run_training(replace(tiny_experiment(3), capacity=8), tmp_path)
+        with pytest.raises(ValueError, match="capacity 8 is below batch_size 16"):
+            run_training(replace(tiny_experiment(6), batch_size=16), tmp_path,
+                         resume=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1218,6 +1218,17 @@ class TestTrainingLoop:
         assert save_checkpoint(resumed.model, 6) == save_checkpoint(full.model, 6)
         assert save_replay(resumed.buffer) == save_replay(full.buffer)
 
+    def test_replay_below_batch_size_rejected(self):
+        """A buffer that can never hold a batch would run every episode
+        without a train_step; the loop refuses it up front."""
+        env = EnvConfig(width=7, height=7, density=0.75)
+        pcfg = PlannerConfig(budget=20)
+        tcfg = TrainConfig(episodes=12, batch_size=16, capacity=64)
+        with pytest.raises(ValueError, match="capacity 8 is below batch_size 16"):
+            training_loop(env, pcfg, tcfg, seed=1, buffer=ReplayBuffer(8))
+        run = training_loop(env, pcfg, tcfg, seed=1, buffer=ReplayBuffer(64))
+        assert sum(r.prior_loss is not None for r in run.records) == 7
+
     def test_mc_value_targets_are_outcomes(self):
         env, pcfg, tcfg = tiny_configs(3, mc_value_targets=True)
         run = training_loop(env, pcfg, tcfg, seed=9)
