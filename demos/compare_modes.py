@@ -15,8 +15,7 @@ from subplan import (
     PlannerConfig,
     UntrainedHeuristics,
     MODES,
-    budget_sweep_table,
-    evaluate,
+    sweep_table,
 )
 
 heuristics = UntrainedHeuristics()
@@ -24,17 +23,14 @@ env = EnvConfig(width=11, height=11, density=0.75)
 
 # One row per budget, three columns (fraction, ci_low, ci_high) per mode.
 # Both modes see exactly the same mazes and tasks at every budget.
-table = budget_sweep_table(heuristics, "untrained", env,
-                           budgets=[25, 50, 100, 200],
-                           modes=["dc", "sequential"],
-                           tasks=40, seed=0)
-print(table)
+print(sweep_table(heuristics, "untrained", env,
+                  budgets=[25, 50, 100, 200],
+                  modes=["dc", "sequential"],
+                  c_pucts=[PlannerConfig.c_puct],
+                  tasks=40, seed=0))
 
 # The divide-and-conquer planner also supports three descend rules that
 # commit to one branch of a split instead of refining both.  Compare all
-# five modes at a single budget.
-for mode in MODES:
-    config = PlannerConfig(budget=100, mode=mode)
-    s = evaluate(heuristics, env, config, tasks=40, seed=0, label="untrained")
-    print(f"{mode:24s} solved {s.solved:2d}/{s.tasks} "
-          f"({s.fraction:.2f}, CI [{s.ci_low:.2f}, {s.ci_high:.2f}])")
+# five modes at a single budget, again on the same tasks.
+print(sweep_table(heuristics, "untrained", env, budgets=[100], modes=MODES,
+                  c_pucts=[PlannerConfig.c_puct], tasks=40, seed=0))

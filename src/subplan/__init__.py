@@ -7,11 +7,11 @@ train and evaluate; everything else is imported from its module.
 from subplan.gridworld import execute_plan, generate_maze, sample_task, serialize_maze
 from subplan.harness import (
     ExperimentConfig,
-    budget_sweep_table,
     evaluate,
     plan_report,
     render_plan,
     run_training,
+    sweep_table,
 )
 from subplan.heuristics import EnvConfig, UntrainedHeuristics, load_checkpoint
 from subplan.planner import MODES, PlannerConfig, run_search
@@ -22,7 +22,6 @@ __all__ = [
     "MODES",
     "PlannerConfig",
     "UntrainedHeuristics",
-    "budget_sweep_table",
     "evaluate",
     "execute_plan",
     "generate_maze",
@@ -33,4 +32,5 @@ __all__ = [
     "run_training",
     "sample_task",
     "serialize_maze",
+    "sweep_table",
 ]

@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: gen, plan, train, eval, compare, sweep, validate.  All
-randomness flows from explicit seed flags, so any command re-run with the
-same flags writes byte-identical artifacts.  Exit codes: 0 success, 1 usage
-error, 2 runtime failure.
+Subcommands: gen, plan, train, eval, compare (align the learning curves of
+training runs), sweep (solve fractions over budgets, modes and c_puct on one
+task set), validate.  All randomness flows from explicit seed flags, so any
+command re-run with the same flags writes byte-identical artifacts.  Exit
+codes: 0 success, 1 usage error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from .heuristics import EnvConfig, UntrainedHeuristics, load_checkpoint
 from .planner import PlannerConfig, run_search
 from .tree import dump_tree
 
+DEFAULT_MODE = "dc"
+
 
 def _density(text: str) -> float:
     value = float(text)
@@ -49,20 +52,6 @@ def _cell(text: str) -> StateId:
         raise argparse.ArgumentTypeError(f"expected 'row,col', got {text!r}") from exc
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
-
-
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
-
-
 def _mode(text: str) -> str:
     try:
         return harness.canonical_mode(text)
@@ -70,8 +59,24 @@ def _mode(text: str) -> str:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _mode_name(text: str) -> str:
+    _mode(text)  # validate; tables keep the user's spelling
+    return text
+
+
+def _list_of(item):
+    """Comma-separated list parser whose entries `item` converts."""
+    def parse(text: str) -> list:
+        values = [item(x.strip()) for x in text.split(",") if x.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected a comma-separated list, got {text!r}")
+        return values
+    parse.__name__ = f"{item.__name__} list"
+    return parse
+
+
 def _load_heuristics(args) -> tuple[object, str]:
-    if getattr(args, "checkpoint", None):
+    if args.checkpoint:
         model, _ = load_checkpoint(Path(args.checkpoint).read_text())
         return model, Path(args.checkpoint).name
     return UntrainedHeuristics(), "untrained"
@@ -85,10 +90,11 @@ def _add_heuristics_flags(p: argparse.ArgumentParser, required: bool = False):
                        help="use untrained heuristics")
 
 
-def _add_planner_flags(p: argparse.ArgumentParser, budget_default: int = 100):
+def _add_planner_flags(p: argparse.ArgumentParser,
+                       budget_default: int = harness.ExperimentConfig.budget):
     p.add_argument("--budget", type=_positive_int, default=budget_default,
                    help="search budget in node expansions")
-    p.add_argument("--mode", type=_mode, default="dc",
+    p.add_argument("--mode", type=_mode, default=DEFAULT_MODE,
                    help="planner mode (dc, sequential, or a descend variant)")
     p.add_argument("--c-puct", type=float, default=PlannerConfig.c_puct)
     p.add_argument("--max-depth", type=_positive_int, default=PlannerConfig.max_depth)
@@ -170,18 +176,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if args.budgets:
-        heuristics, label = _load_heuristics(args)
-        env = _env_from_flags(args)
-        text = harness.budget_sweep_table(
-            heuristics, label, env, args.budgets, args.modes, args.tasks,
-            args.seed, c_puct=args.c_puct, max_depth=args.max_depth)
-    else:
-        if len(args.runs) < 2:
-            print("error: need two or more run directories (or --budgets)",
-                  file=sys.stderr)
-            return 2
-        text = harness.learning_curve_table(args.runs, args.window)
+    text = harness.learning_curve_table(args.runs, args.window)
     print(text, end="")
     if args.out:
         Path(args.out).write_text(text)
@@ -191,8 +186,8 @@ def cmd_compare(args) -> int:
 def cmd_sweep(args) -> int:
     heuristics, label = _load_heuristics(args)
     env = _env_from_flags(args)
-    text = harness.sweep_table(heuristics, label, env, args.c_pucts,
-                               args.budget, args.mode, args.tasks, args.seed,
+    text = harness.sweep_table(heuristics, label, env, args.budgets, args.modes,
+                               args.c_pucts, args.tasks, args.seed,
                                max_depth=args.max_depth)
     print(text, end="")
     if args.out:
@@ -257,28 +252,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_planner_flags(p, budget_default=200)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("compare",
-                       help="learning curves of runs, or a budget sweep")
-    p.add_argument("runs", nargs="*", help="run directories to align")
+    p = sub.add_parser("compare", help="align the learning curves of training runs")
+    p.add_argument("runs", nargs="+", help="run directories to align")
     p.add_argument("--window", type=_positive_int, default=250,
                    help="episode window for learning curves")
-    p.add_argument("--budgets", type=_int_list, default=None,
-                   help="budget sweep instead, e.g. 50,100,200,400")
-    p.add_argument("--modes", type=_mode_list_default, default=["dc", "sequential"],
-                   help="modes for the budget sweep")
-    _add_heuristics_flags(p)
-    p.add_argument("--tasks", type=_positive_int, default=100)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    _add_env_flags(p)
-    p.add_argument("--c-puct", type=float, default=PlannerConfig.c_puct)
-    p.add_argument("--max-depth", type=_positive_int, default=PlannerConfig.max_depth)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("sweep", help="sweep the exploration constant")
-    p.add_argument("--c-pucts", type=_float_list, default=[3.0, 4.0, 5.0, 6.0, 7.0])
-    p.add_argument("--budget", type=_positive_int, default=100)
-    p.add_argument("--mode", type=_mode, default="dc")
+    p = sub.add_parser("sweep",
+                       help="solve fraction over budgets, modes and exploration constants")
+    p.add_argument("--budgets", type=_list_of(_positive_int),
+                   default=[harness.ExperimentConfig.budget], help="e.g. 25,50,100")
+    p.add_argument("--modes", type=_list_of(_mode_name), default=[DEFAULT_MODE],
+                   help="e.g. dc,sequential,descend_left_first")
+    p.add_argument("--c-pucts", type=_list_of(float), default=[PlannerConfig.c_puct])
     _add_heuristics_flags(p)
     p.add_argument("--tasks", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
@@ -292,15 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate)
 
     return parser
-
-
-def _mode_list_default(text: str) -> list[str]:
-    names = [x.strip() for x in text.split(",") if x.strip()]
-    if not names:
-        raise argparse.ArgumentTypeError("expected at least one mode")
-    for name in names:
-        _mode(name)  # validate; the table keeps the user's spelling
-    return names
 
 
 def main(argv=None) -> int:

@@ -13,9 +13,8 @@ for everything else.
 
 from __future__ import annotations
 
-import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Protocol, Sequence
 
@@ -421,27 +420,12 @@ def parse_maze(text: str) -> tuple[Maze, StateId | None, StateId | None]:
     interior_walls = int(np.sum((cells == WALL) & _interior_mask(width, height)))
     density = min(1.0, interior_walls / w1) if w1 > 0 else 0.0
     maze = Maze(width, height, cells, density, -1)
-    if len(maze.empty_cells) < 2:
+    empties = maze.empty_cells
+    if len(empties) < 2:
         raise ValueError("maze must contain at least two empty cells")
-    if not _is_connected(maze):
+    if len(bfs_distances(maze, empties[0])) != len(empties):
         raise ValueError("empty cells are not connected")
     return maze, start, goal
-
-
-def _is_connected(maze: Maze) -> bool:
-    empties = maze.empty_cells
-    seen = {empties[0]}
-    stack = [empties[0]]
-    while stack:
-        for t in maze.neighbors(stack.pop()):
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return len(seen) == len(empties)
-
-
-def manhattan(s: StateId, t: StateId) -> int:
-    return abs(s.row - t.row) + abs(s.col - t.col)
 
 
 def bfs_distances(maze: Maze, source: StateId) -> dict[StateId, int]:

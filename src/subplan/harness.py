@@ -1,5 +1,5 @@
 """Experiment harness: config files, metrics records, plan rendering,
-evaluation sweeps, comparison tables, and artifact validation.
+evaluation, learning-curve and sweep tables, and artifact validation.
 
 Everything here is deterministic given explicit seeds: evaluation tasks come
 from a seed-indexed stream (domain 1000) disjoint from the training streams,
@@ -69,7 +69,9 @@ def canonical_mode(name: str) -> str:
 @dataclass
 class ExperimentConfig:
     """Flat bundle of environment, planner, and training settings.  The field
-    order is the config file's line order; sub-configs own shared defaults."""
+    order is the config file's line order; sub-configs own shared defaults.
+    `eval_every` is the checkpoint-snapshot cadence in episodes; it runs no
+    evaluation."""
 
     width: int = EnvConfig.width
     height: int = EnvConfig.height
@@ -405,13 +407,13 @@ def parse_summary(text: str) -> EvalSummary:
 def run_training(config: ExperimentConfig, out_dir: str | Path,
                  resume: bool = False) -> TrainingRun:
     """Run (or resume) a training experiment, writing metrics, a resolved
-    config, a rolling checkpoint/replay pair, and cadence snapshots."""
+    config, a rolling checkpoint/replay pair, and cadence snapshots.  A resume
+    whose snapshot disagrees with the config's model settings or replay
+    capacity, or is past its episodes, raises before anything is written."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     metrics_path = out / "metrics.jsonl"
     checkpoint_path = out / "checkpoint.txt"
     replay_path = out / "replay.txt"
-    (out / "config.txt").write_text(serialize_config(config))
 
     model = None
     buffer = None
@@ -421,6 +423,20 @@ def run_training(config: ExperimentConfig, out_dir: str | Path,
             raise ValueError(f"nothing to resume: {checkpoint_path} not found")
         model, start = load_checkpoint(checkpoint_path.read_text())
         buffer = load_replay(replay_path.read_text())
+        train = config.train_config()
+        pairs = [(k, getattr(model, k), getattr(train, k))
+                 for k in ("hidden", "temperature", "learning_rate", "optimizer")]
+        pairs.append(("capacity", buffer.capacity, train.capacity))
+        changed = [f"{k} {old!r} (config {new!r})" for k, old, new in pairs if old != new]
+        if start > config.episodes:
+            changed.append(f"episode {start} (config episodes {config.episodes})")
+        if changed:
+            raise ValueError(f"cannot resume {out}: the snapshot has "
+                             + ", ".join(changed))
+
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.txt").write_text(serialize_config(config))
+    if resume:
         kept = []
         if metrics_path.exists():
             for line in metrics_path.read_text().splitlines():
@@ -457,7 +473,7 @@ def run_training(config: ExperimentConfig, out_dir: str | Path,
 
 
 # ---------------------------------------------------------------------------
-# comparison tables
+# learning-curve and sweep tables
 
 
 def _float_cell(x: float) -> str:
@@ -502,48 +518,30 @@ def learning_curve_table(run_dirs: Sequence[str | Path], window: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def budget_sweep_table(heuristics, label: str, env: EnvConfig,
-                       budgets: Sequence[int], modes: Sequence[str],
-                       tasks: int, seed: int, c_puct: float = PlannerConfig.c_puct,
-                       max_depth: int = PlannerConfig.max_depth) -> str:
-    """Solve fraction per (budget, mode) on one shared evaluation task set."""
-    if not budgets or not modes:
-        raise ValueError("need at least one budget and one mode")
+def sweep_table(heuristics, label: str, env: EnvConfig, budgets: Sequence[int],
+                modes: Sequence[str], c_pucts: Sequence[float], tasks: int,
+                seed: int, max_depth: int = PlannerConfig.max_depth) -> str:
+    """Solve fraction per (budget, c_puct) row and mode column, every cell on
+    one shared evaluation task set; budgets are the outer row order."""
+    if not budgets or not modes or not c_pucts:
+        raise ValueError("need at least one budget, one mode and one c_puct")
     canon = [canonical_mode(m) for m in modes]
-    header = ["budget"]
+    header = ["budget", "c_puct"]
     for name in modes:
         header += [f"{name}_fraction", f"{name}_ci_low", f"{name}_ci_high"]
-    lines = ["compare v1",
+    lines = ["sweep v1",
              f"# heuristics = {label}; tasks = {tasks}; seed = {seed}",
              "\t".join(header)]
     for budget in budgets:
-        row = [str(budget)]
-        for mode in canon:
-            cfg = PlannerConfig(budget=budget, max_depth=max_depth,
-                                c_puct=c_puct, mode=mode)
-            s = evaluate(heuristics, env, cfg, tasks, seed, label=label)
-            row += [_float_cell(s.fraction), _float_cell(s.ci_low),
-                    _float_cell(s.ci_high)]
-        lines.append("\t".join(row))
-    return "\n".join(lines) + "\n"
-
-
-def sweep_table(heuristics, label: str, env: EnvConfig,
-                c_pucts: Sequence[float], budget: int, mode: str,
-                tasks: int, seed: int, max_depth: int = PlannerConfig.max_depth) -> str:
-    """Solve fraction per exploration constant on one shared task set."""
-    if not c_pucts:
-        raise ValueError("need at least one c_puct sample")
-    lines = ["sweep v1",
-             f"# heuristics = {label}; mode = {canonical_mode(mode)}; "
-             f"budget = {budget}; tasks = {tasks}; seed = {seed}",
-             "\t".join(["c_puct", "fraction", "ci_low", "ci_high"])]
-    for c in c_pucts:
-        cfg = PlannerConfig(budget=budget, max_depth=max_depth,
-                            c_puct=float(c), mode=canonical_mode(mode))
-        s = evaluate(heuristics, env, cfg, tasks, seed, label=label)
-        lines.append("\t".join([_float_cell(c), _float_cell(s.fraction),
-                                _float_cell(s.ci_low), _float_cell(s.ci_high)]))
+        for c in c_pucts:
+            row = [str(budget), _float_cell(c)]
+            for mode in canon:
+                cfg = PlannerConfig(budget=budget, max_depth=max_depth,
+                                    c_puct=float(c), mode=mode)
+                s = evaluate(heuristics, env, cfg, tasks, seed, label=label)
+                row += [_float_cell(s.fraction), _float_cell(s.ci_low),
+                        _float_cell(s.ci_high)]
+            lines.append("\t".join(row))
     return "\n".join(lines) + "\n"
 
 

@@ -31,7 +31,6 @@ backup product.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
@@ -596,15 +595,3 @@ def run_search(
         tree=tree,
     )
 
-
-def plan_result_json(result: PlanResult, tree_dump_ref: str | None = None) -> str:
-    """Structured text form of a PlanResult."""
-    payload = {
-        "plan": [[s.row, s.col] for s in result.plan.sigma],
-        "L": result.plan.objective_L,
-        "G": result.returns[0][1],
-        "budget_used": result.budget_used,
-        "tree_stats": result.tree_stats,
-        "tree_dump": tree_dump_ref,
-    }
-    return json.dumps(payload, sort_keys=True)

@@ -3,9 +3,13 @@ artifacts each subcommand writes."""
 
 from __future__ import annotations
 
+import argparse
+import re
+from pathlib import Path
+
 import numpy as np
 
-from subplan.cli import main
+from subplan.cli import build_parser, main
 from subplan.gridworld import Maze, parse_maze, serialize_maze
 from subplan.harness import (
     ExperimentConfig,
@@ -247,32 +251,51 @@ class TestTrainCompare:
         code, _ = run_cli("compare", str(out), capsys=capsys)
         assert code == 2
 
-    def test_budget_sweep_table(self, tmp_path, capsys):
-        args = ("compare", "--budgets", "4,8", "--modes", "dc,sequential",
+    def test_compare_rejects_sweep_flags(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, 2)
+        out = str(tmp_path / "run")
+        run_cli("train", "--config", str(cfg), "--out", out, capsys=capsys)
+        assert run_cli("compare", out, out, "--window", "1", capsys=capsys)[0] == 0
+        for flag, value in (("--budgets", "4"), ("--modes", "dc"),
+                            ("--checkpoint", out + "/checkpoint.txt"),
+                            ("--tasks", "2"), ("--c-puct", "5.0"), ("--size", "5")):
+            code, _ = run_cli("compare", out, out, flag, value, capsys=capsys)
+            assert code == 1, flag
+
+    def test_sweep_budget_mode_table(self, capsys):
+        args = ("sweep", "--budgets", "4,8", "--modes", "dc,sequential",
                 "--untrained", "--tasks", "3", "--size", "6",
                 "--density", "0.5", "--seed", "2")
         code, text = run_cli(*args, capsys=capsys)
         assert code == 0
         header, rows = parse_table(text)
-        assert header[0] == "budget"
-        assert [r[0] for r in rows] == [4.0, 8.0]
+        assert header[:3] == ["budget", "c_puct", "dc_fraction"]
+        assert [r[:2] for r in rows] == [[4.0, 5.0], [8.0, 5.0]]
         assert run_cli(*args, capsys=capsys)[1] == text
 
-    def test_sweep_runs(self, capsys):
-        code, text = run_cli("sweep", "--c-pucts", "3,7", "--budget", "6",
+    def test_sweep_c_pucts(self, capsys):
+        code, text = run_cli("sweep", "--c-pucts", "3,7", "--budgets", "6",
                              "--untrained", "--tasks", "3", "--size", "6",
                              "--density", "0.5", "--seed", "1", capsys=capsys)
         assert code == 0
         header, rows = parse_table(text)
-        assert header[0] == "c_puct"
-        assert len(rows) == 2
+        assert header == ["budget", "c_puct", "dc_fraction", "dc_ci_low", "dc_ci_high"]
+        assert [r[:2] for r in rows] == [[6.0, 3.0], [6.0, 7.0]]
+
+    def test_sweep_rejects_run_directories(self, tmp_path, capsys):
+        code, _ = run_cli("sweep", str(tmp_path), str(tmp_path), "--untrained",
+                          "--tasks", "1", capsys=capsys)
+        assert code == 1
+
+    def test_sweep_rejects_bad_lists(self, capsys):
+        for flag, value in (("--budgets", "4,0"), ("--budgets", ","),
+                            ("--modes", "dc,sideways"), ("--c-pucts", "x")):
+            assert run_cli("sweep", flag, value, capsys=capsys)[0] == 1, (flag, value)
 
     def test_checkpoint_and_untrained_conflict(self, tmp_path, capsys):
         ckpt = str(tmp_path / "model.txt")
-        for command in (("compare", "--budgets", "4"), ("sweep",)):
-            code, _ = run_cli(*command, "--checkpoint", ckpt, "--untrained",
-                              capsys=capsys)
-            assert code == 1, command
+        code, _ = run_cli("sweep", "--checkpoint", ckpt, "--untrained", capsys=capsys)
+        assert code == 1
 
 
 class TestValidateAndMisc:
@@ -345,3 +368,12 @@ class TestValidateAndMisc:
 
     def test_help_exits_zero(self, capsys):
         assert run_cli("--help", capsys=capsys)[0] == 0
+
+
+def test_readme_table_names_every_subcommand():
+    """The README's subcommand table lists exactly the CLI's subcommands."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    documented = re.findall(r"^\| `([a-z-]+)` \|", readme, flags=re.MULTILINE)
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(documented) == sorted(sub.choices)

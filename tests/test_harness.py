@@ -4,7 +4,6 @@ training runs, comparison tables, and artifact validation."""
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,11 +13,10 @@ import numpy as np
 import pytest
 from scipy.stats import binomtest
 
-from subplan.gridworld import Maze, Pi0, StateId, Task, generate_maze, parse_maze
+from subplan.gridworld import Maze, Pi0, StateId, Task
 from subplan.harness import (
     EvalSummary,
     ExperimentConfig,
-    budget_sweep_table,
     canonical_mode,
     detect_artifact_type,
     eval_task,
@@ -413,13 +411,41 @@ class TestRunTraining:
         with pytest.raises(ValueError, match="resume"):
             run_training(tiny_experiment(3), tmp_path, resume=True)
 
-    def test_resume_replay_below_batch_size_rejected(self, tmp_path):
-        """A snapshot whose replay capacity is below the resumed config's
-        batch size could never feed a train_step."""
+    def test_resume_replay_capacity_must_match(self, tmp_path):
+        """A snapshot whose replay capacity differs from the config's (here
+        below its batch size, so no train_step could run) is rejected."""
         run_training(replace(tiny_experiment(3), capacity=8), tmp_path)
-        with pytest.raises(ValueError, match="capacity 8 is below batch_size 16"):
+        with pytest.raises(ValueError, match=r"capacity 8 \(config 32\)"):
             run_training(replace(tiny_experiment(6), batch_size=16), tmp_path,
                          resume=True)
+
+    @pytest.mark.parametrize("field, value", [("hidden", 16), ("temperature", 0.5),
+                                              ("learning_rate", 0.02), ("optimizer", "adam")])
+    def test_resume_model_settings_must_match(self, tmp_path, field, value):
+        run_training(tiny_experiment(3), tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(ValueError, match=f"cannot resume .*{field}"):
+            run_training(replace(tiny_experiment(6), **{field: value}), tmp_path,
+                         resume=True)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_resume_past_the_configured_episodes_rejected(self, tmp_path):
+        """A 6-episode snapshot under `episodes = 3` would train nothing and
+        relabel the 6-episode model as episode 3."""
+        run_training(tiny_experiment(6), tmp_path)
+        with pytest.raises(ValueError, match=r"episode 6 \(config episodes 3\)"):
+            run_training(tiny_experiment(3), tmp_path, resume=True)
+        run_training(tiny_experiment(6), tmp_path, resume=True)  # a finished run may resume
+
+    def test_failed_resume_writes_nothing(self, tmp_path):
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match="nothing to resume"):
+            run_training(tiny_experiment(3), out, resume=True)
+        assert not out.exists()
+        out.mkdir()
+        with pytest.raises(ValueError, match="nothing to resume"):
+            run_training(tiny_experiment(3), out, resume=True)
+        assert list(out.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -469,31 +495,41 @@ class TestCompareTables:
         with pytest.raises(ValueError, match="window"):
             learning_curve_table([tmp_path / "a", tmp_path / "a"], window=2)
 
-    def test_budget_sweep_table(self):
+    def test_sweep_grid_cells_are_evaluate_summaries(self):
         env = EnvConfig(6, 6, 0.5)
-        text = budget_sweep_table(UntrainedHeuristics(), "untrained", env,
-                                  budgets=[4, 10], modes=["dc", "sequential"],
-                                  tasks=5, seed=2)
-        again = budget_sweep_table(UntrainedHeuristics(), "untrained", env,
-                                   budgets=[4, 10], modes=["dc", "sequential"],
-                                   tasks=5, seed=2)
-        assert text == again
-        header, rows = parse_table(text)
-        assert header[0] == "budget"
-        assert "dc_fraction" in header and "sequential_fraction" in header
-        assert [r[0] for r in rows] == [4.0, 10.0]
-        for row in rows:
-            for value in row[1:]:
-                assert 0.0 <= value <= 1.0
+        budgets, modes, c_pucts = [4, 10], ["dc", "sequential"], [3.0, 7.0]
+        text = sweep_table(UntrainedHeuristics(), "untrained", env, budgets,
+                           modes, c_pucts, tasks=4, seed=2, max_depth=6)
+        assert text == sweep_table(UntrainedHeuristics(), "untrained", env, budgets,
+                                   modes, c_pucts, tasks=4, seed=2, max_depth=6)
+        lines = text.splitlines()
+        assert lines[0] == "sweep v1"
+        assert lines[2].split("\t") == [
+            "budget", "c_puct",
+            "dc_fraction", "dc_ci_low", "dc_ci_high",
+            "sequential_fraction", "sequential_ci_low", "sequential_ci_high"]
+        rows = [line.split("\t") for line in lines[3:]]
+        expected = []
+        for budget in budgets:
+            for c in c_pucts:
+                row = [str(budget), repr(c)]
+                for mode in modes:
+                    cfg = PlannerConfig(budget=budget, max_depth=6, c_puct=c,
+                                        mode=canonical_mode(mode))
+                    s = evaluate(UntrainedHeuristics(), env, cfg, tasks=4, seed=2)
+                    row += [repr(s.fraction), repr(s.ci_low), repr(s.ci_high)]
+                expected.append(row)
+        assert rows == expected
+        _, parsed = parse_table(text)
+        assert [r[:2] for r in parsed] == [[4.0, 3.0], [4.0, 7.0], [10.0, 3.0], [10.0, 7.0]]
 
-    def test_sweep_table(self):
-        env = EnvConfig(6, 6, 0.5)
-        text = sweep_table(UntrainedHeuristics(), "untrained", env,
-                           c_pucts=[3.0, 7.0], budget=6, mode="dc",
-                           tasks=4, seed=1)
-        header, rows = parse_table(text)
-        assert header == ["c_puct", "fraction", "ci_low", "ci_high"]
-        assert [r[0] for r in rows] == [3.0, 7.0]
+    @pytest.mark.parametrize("empty", ["budgets", "modes", "c_pucts"])
+    def test_sweep_needs_every_axis(self, empty):
+        axes = {"budgets": [4], "modes": ["dc"], "c_pucts": [5.0]}
+        axes[empty] = []
+        with pytest.raises(ValueError, match="at least one"):
+            sweep_table(UntrainedHeuristics(), "untrained", EnvConfig(5, 5, 0.5),
+                        tasks=2, seed=0, **axes)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from subplan.planner import (
     descend_one,
     extract_plan,
     plan_objective,
-    plan_result_json,
     run_search,
     selection_scores,
 )
@@ -1139,8 +1138,8 @@ class TestRunSearch:
         r2 = run_search(task, StubHeuristics(vhat=0.2), cfg)
         assert r1.plan == r2.plan
         assert r1.tree_stats == r2.tree_stats
+        assert r1.returns == r2.returns
         assert dump_tree(r1.tree) == dump_tree(r2.tree)
-        assert plan_result_json(r1) == plan_result_json(r2)
 
     def test_tiny_board_terminates_with_spare_budget(self):
         maze = row_maze(3)
@@ -1148,16 +1147,6 @@ class TestRunSearch:
         res = run_search(task, StubHeuristics(), PlannerConfig(budget=500, seed=0))
         assert res.plan.objective_L == 1.0
         assert res.budget_used <= 9  # at most n^2 reachable keys
-
-    def test_result_json_shape(self):
-        maze = row_maze(3)
-        task = Task(maze, cell(0, 0), cell(0, 2))
-        res = run_search(task, StubHeuristics(), PlannerConfig(budget=5, seed=0))
-        payload = json.loads(plan_result_json(res, tree_dump_ref="tree.txt"))
-        assert payload["plan"][0] == [0, 0]
-        assert payload["plan"][-1] == [0, 2]
-        assert payload["tree_dump"] == "tree.txt"
-        assert set(payload) == {"plan", "L", "G", "budget_used", "tree_stats", "tree_dump"}
 
 
 def search_fingerprint(budget: int = 30, seeds=(0, 2, 5)) -> str:
