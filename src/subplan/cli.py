@@ -10,7 +10,6 @@ codes: 0 success, 1 usage error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -153,7 +152,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = harness.load_config_file(args.config, environ=os.environ)
+    config = harness.load_config_file(args.config)
     out_dir = Path(args.out) if args.out else Path(config.out_dir)
     run = harness.run_training(config, out_dir, resume=args.resume)
     solved = sum(r.solved for r in run.records)

@@ -51,15 +51,30 @@ class Maze:
         return self.in_bounds(s) and self.cells[s.row, s.col] == EMPTY
 
     @cached_property
+    def coords(self) -> np.ndarray:
+        """Read-only (n, 2) int64 (row, col) of the empty cells, row-major."""
+        coords = np.argwhere(self.cells == EMPTY).astype(np.int64)
+        coords.flags.writeable = False
+        return coords
+
+    @cached_property
     def empty_cells(self) -> tuple[StateId, ...]:
         """All empty cells in row-major order."""
-        rows, cols = np.nonzero(self.cells == EMPTY)
-        return tuple(StateId(int(r), int(c)) for r, c in zip(rows, cols))
+        return tuple(map(StateId, *self.coords.T.tolist()))
 
     @cached_property
     def empty_index(self) -> dict[StateId, int]:
         """Row-major index of each empty cell."""
         return {s: i for i, s in enumerate(self.empty_cells)}
+
+    @cached_property
+    def index_grid(self) -> np.ndarray:
+        """Read-only (height, width) int64: the row-major index of each empty
+        cell, -1 on the walls."""
+        grid = np.full(self.cells.shape, -1, dtype=np.int64)
+        grid[self.coords[:, 0], self.coords[:, 1]] = np.arange(len(self.coords))
+        grid.flags.writeable = False
+        return grid
 
     def neighbors(self, s: StateId) -> tuple[StateId, ...]:
         """Empty 4-neighbors of s in the fixed direction order."""
@@ -228,13 +243,11 @@ def sample_task(maze: Maze, seed: int, min_dist: int | None = None) -> Task:
 
 def _empty_cell_graph(maze: Maze) -> csr_matrix:
     """4-adjacency between empty cells, indexed in row-major order."""
-    index = np.full(maze.cells.shape, -1, dtype=np.int64)
-    rows, cols = np.nonzero(maze.cells == EMPTY)
-    index[rows, cols] = np.arange(len(rows))
+    index = maze.index_grid
     a = np.concatenate([index[:, :-1].ravel(), index[:-1, :].ravel()])
     b = np.concatenate([index[:, 1:].ravel(), index[1:, :].ravel()])
     edge = (a >= 0) & (b >= 0)
-    n = len(rows)
+    n = len(maze.coords)
     return csr_matrix((np.ones(int(edge.sum())), (a[edge], b[edge])), shape=(n, n))
 
 
@@ -298,7 +311,7 @@ class Pi0:
 
     def value_matrix(self, maze: Maze) -> np.ndarray:
         """All-pairs values over empty cells in row-major order."""
-        coords = np.array(maze.empty_cells, dtype=np.int64)
+        coords = maze.coords
         dist = np.abs(coords[:, None, 0] - coords[None, :, 0]) + np.abs(
             coords[:, None, 1] - coords[None, :, 1]
         )

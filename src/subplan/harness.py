@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping, Sequence, get_type_hints
@@ -45,8 +44,6 @@ from .tree import load_tree_dump
 # Evaluation draws its own maze/task/execution seeds from this spawn-key
 # domain so they can never collide with the training loop's streams.
 EVAL_STREAM_DOMAIN = 1000
-
-ENV_PREFIX = "SUBPLAN_"
 
 MODE_ALIASES = {"dc": "divide_and_conquer", "sequential": "sequential_right"}
 
@@ -170,27 +167,17 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def experiment_config(mapping: Mapping[str, object],
-                      environ: Mapping[str, str] | None = None) -> ExperimentConfig:
-    """Build a config from a parsed file, applying environment overrides."""
+def experiment_config(mapping: Mapping[str, object]) -> ExperimentConfig:
+    """Build a config from a parsed file."""
     known = {f.name for f in fields(ExperimentConfig)}
-    values = dict(mapping)
-    for key in values:
+    for key in mapping:
         if key not in known:
             raise ValueError(f"unknown config key {key!r}")
-    if environ is not None:
-        for name in known:
-            override = environ.get(ENV_PREFIX + name.upper())
-            if override is not None:
-                values[name] = override
-    return ExperimentConfig(**_typed(ExperimentConfig, values))
+    return ExperimentConfig(**_typed(ExperimentConfig, mapping))
 
 
-def load_config_file(path: str | Path,
-                     environ: Mapping[str, str] | None = None) -> ExperimentConfig:
-    if environ is None:
-        environ = os.environ
-    return experiment_config(parse_config_text(Path(path).read_text()), environ)
+def load_config_file(path: str | Path) -> ExperimentConfig:
+    return experiment_config(parse_config_text(Path(path).read_text()))
 
 
 def serialize_config(config: ExperimentConfig) -> str:
@@ -491,7 +478,7 @@ def learning_curve_table(run_dirs: Sequence[str | Path], window: int) -> str:
     runs = []
     for d in run_dirs:
         d = Path(d)
-        configs.append(load_config_file(d / "config.txt", environ={}))
+        configs.append(load_config_file(d / "config.txt"))
         runs.append(parse_metrics_text((d / "metrics.jsonl").read_text()))
     base = configs[0]
     for name, cfg, records in zip(names, configs, runs):

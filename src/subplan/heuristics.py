@@ -12,7 +12,6 @@ finite-difference tests have no framework in the way.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, replace
@@ -42,7 +41,6 @@ from subplan.gridworld import (
 from subplan.planner import (
     PlannerConfig,
     PlanningContext,
-    PlanResult,
     run_search,
     selection_scores,
 )
@@ -68,8 +66,9 @@ class UntrainedHeuristics:
     def values(self, maze: Maze, pairs: np.ndarray) -> np.ndarray:
         return np.zeros(len(pairs))
 
-    def prior(self, task: Task, key: OrKey, candidates: Sequence[SubGoal]) -> np.ndarray:
-        return np.full(len(candidates), 1.0 / len(candidates))
+    def prior(self, task: Task, key: OrKey) -> np.ndarray:
+        m = len(task.maze.empty_cells) + 1
+        return np.full(m, 1.0 / m)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +82,6 @@ BOARD_CACHE_SIZE = 64  # boards whose wall patches and candidates stay cached
 
 # Prior feature columns that describe the candidate x; they are 0 on a ∅ row.
 _X_COLS = np.r_[1:7, 10, 11, 13, 14, 16 + PP : 16 + 2 * PP]
-_NO_CELL = (0, 0)  # where a ∅ row is computed before its _X_COLS are zeroed
 # A prior row's offsets (x - s, s'' - x, s'' - s) are one linear map of its
 # candidate cell x and its end row (s, s''): x @ _X_OFFSETS + ends @ _ENDS_OFFSETS.
 _X_OFFSETS = np.array([[1, 0, -1, 0, 0, 0], [0, 1, 0, -1, 0, 0]])
@@ -93,7 +91,10 @@ _ENDS_OFFSETS = np.array([[-1, 0, 0, 0, -1, 0], [0, -1, 0, 0, 0, -1],
 
 class _Board(NamedTuple):
     patches: np.ndarray  # (height, width, PP) read-only wall flags
-    candidates: tuple[SubGoal, ...]  # ∅, then the non-wall cells row-major
+    # (m, 2) read-only int64 (row, col) of the split candidates: row 0 is ∅,
+    # computed at (0, 0) before its _X_COLS are zeroed, then the non-wall
+    # cells row-major
+    candidates: np.ndarray
 
 
 def _board(cells: np.ndarray) -> _Board:
@@ -109,8 +110,9 @@ def _board_of_walls(shape: tuple[int, int], wall_bytes: bytes) -> _Board:
     padded = np.pad(walls, PATCH // 2, constant_values=True)
     patches = sliding_window_view(padded, (PATCH, PATCH)).reshape(*shape, PP)
     patches.flags.writeable = False
-    rows, cols = np.nonzero(~walls)
-    return _Board(patches, (None, *map(StateId, rows.tolist(), cols.tolist())))
+    candidates = np.vstack([np.zeros((1, 2), dtype=np.int64), np.argwhere(~walls)])
+    candidates.flags.writeable = False
+    return _Board(patches, candidates)
 
 
 def _pair_columns(out: np.ndarray, d: np.ndarray, scale: float) -> None:
@@ -148,12 +150,13 @@ def value_features(cells: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     return out
 
 
-def prior_features(cells: np.ndarray, ends: ArrayLike, candidates: Sequence[SubGoal]) -> np.ndarray:
+def prior_features(cells: np.ndarray, ends: ArrayLike) -> np.ndarray:
     """(E·m, PRIOR_DIM) features for E sub-tasks, rows (r1, c1, r2, c2) of
-    ends, over the same m candidates.
+    ends, over the board's m split candidates: ∅, then every non-wall cell
+    in row-major order (for a maze, ∅ and then its empty_cells).
 
     The rows are entry-major: entry e's candidate rows are e·m .. e·m + m - 1,
-    in the order of candidates.  A row holds the ∅ flag; the offsets of
+    in candidate order.  A row holds the ∅ flag; the offsets of
     s → x, x → s'' and s → s''; the adjacent flags and the equal flags of
     those three pairs; the wall windows around s, x and s''; and the board
     size, each as in value_features and from the same cached patch tensor.
@@ -162,13 +165,9 @@ def prior_features(cells: np.ndarray, ends: ArrayLike, candidates: Sequence[SubG
     of E one-row calls stacked.
     """
     height, width = cells.shape
-    patches = _board(cells).patches
+    patches, xy = _board(cells)
     ends = np.asarray(ends, dtype=np.int64).reshape(-1, 4)
-    e, m = len(ends), len(candidates)
-    xy = np.fromiter(
-        itertools.chain.from_iterable(_NO_CELL if x is None else x for x in candidates),
-        dtype=np.int64, count=2 * m,
-    ).reshape(m, 2)
+    e, m = len(ends), len(xy)
     d = xy @ _X_OFFSETS + (ends @ _ENDS_OFFSETS)[:, None]  # (E, m, 6)
     out = np.empty((e * m, PRIOR_DIM))
     out[:, 0] = 0.0
@@ -179,10 +178,8 @@ def prior_features(cells: np.ndarray, ends: ArrayLike, candidates: Sequence[SubG
         rows[i, :, 16 : 16 + PP] = patches[r1, c1]
         rows[i, :, 16 + 2 * PP : 16 + 3 * PP] = patches[r2, c2]
     out[:, -2:] = (height / 32.0, width / 32.0)
-    for k, x in enumerate(candidates):
-        if x is None:
-            out[k::m, _X_COLS] = 0.0
-            out[k::m, 0] = 1.0
+    out[::m, _X_COLS] = 0.0
+    out[::m, 0] = 1.0
     return out
 
 
@@ -260,10 +257,8 @@ class TrainableModel:
         z, _ = self._head_forward("value", X)
         return z
 
-    def prior_logits(
-        self, cells: np.ndarray, s: StateId, s2: StateId, candidates: Sequence[SubGoal]
-    ) -> np.ndarray:
-        X = prior_features(cells, [(*s, *s2)], candidates)
+    def prior_logits(self, cells: np.ndarray, s: StateId, s2: StateId) -> np.ndarray:
+        X = prior_features(cells, [(*s, *s2)])
         z, _ = self._head_forward("prior", X)
         return z
 
@@ -272,8 +267,8 @@ class TrainableModel:
     def values(self, maze: Maze, pairs: np.ndarray) -> np.ndarray:
         return _sigmoid(self.value_logits(maze.cells, pairs))
 
-    def prior(self, task: Task, key: OrKey, candidates: Sequence[SubGoal]) -> np.ndarray:
-        z = self.prior_logits(task.maze.cells, key.s, key.s2, candidates)
+    def prior(self, task: Task, key: OrKey) -> np.ndarray:
+        z = self.prior_logits(task.maze.cells, key.s, key.s2)
         return _softmax(z / self.temperature)
 
 
@@ -405,11 +400,6 @@ def parse_trajectory(
 # training targets
 
 
-def value_targets_from_result(result: PlanResult) -> list[tuple[OrKey, float]]:
-    """One regression target per solution-tree OR node: its return G."""
-    return list(result.returns)
-
-
 def prior_targets_from_tree(tree: SearchTree, key: OrKey) -> np.ndarray | None:
     """Target distribution over candidates, proportional to Select's
     exploitation scores (selection_scores at c = 0): V(s,x)·V(x,s'') for a
@@ -475,18 +465,18 @@ def train_step(model: TrainableModel, batch: dict) -> tuple[float, float]:
 
     prior_loss = 0.0
     if prior_entries:
-        boards = [(_board_of_walls(*key).candidates, rows)
+        boards = [(len(_board_of_walls(*key).candidates), rows)
                   for key, rows in _by_board(prior_entries).items()]
-        for cands, rows in boards:
-            if any(len(prior_entries[k].target) != len(cands) for k in rows):
+        for m, rows in boards:
+            if any(len(prior_entries[k].target) != m for k in rows):
                 raise ValueError("prior target length does not match candidates")
         lens = np.array([len(e.target) for e in prior_entries])
         starts = np.cumsum(lens) - lens
         X = np.empty((lens.sum(), PRIOR_DIM))
-        for cands, rows in boards:
+        for m, rows in boards:
             ends = [(*prior_entries[k].s, *prior_entries[k].s2) for k in rows]
-            at = (starts[rows, None] + np.arange(len(cands))).ravel()
-            X[at] = prior_features(prior_entries[rows[0]].encoding, ends, cands)
+            at = (starts[rows, None] + np.arange(m)).ravel()
+            X[at] = prior_features(prior_entries[rows[0]].encoding, ends)
         z, A = model._head_forward("prior", X)
         # Softmax and cross-entropy over the entries stacked by candidate
         # count; math.log and the row dot products keep every bit of the
@@ -738,7 +728,7 @@ def load_replay(text: str) -> ReplayBuffer:
             enc = _decode_compact(parts[6], h, w)
             _check_cells(enc, (s, mid, s2))
             target = np.array([float(x) for x in parts[7:]])
-            if len(target) != 1 + int(np.sum(enc != WALL)):
+            if len(target) != len(_board(enc).candidates):
                 raise ValueError(f"prior target has {len(target)} weights, expected one per candidate")
             buffer.add_prior(PriorEntry(enc, s, mid, s2, target))
     if buffer is None:
@@ -845,7 +835,7 @@ def training_loop(
         encoding = encode_task(task)
 
         if not train_config.mc_value_targets:
-            for key, g in value_targets_from_result(result):
+            for key, g in result.returns:
                 buffer.add_value(ValueEntry(encoding, key, g))
         for node in result.solution_tree.nodes():
             if node.terminal:
@@ -879,10 +869,9 @@ def training_loop(
                     )
             triplets = parse_trajectory(train_config.parser, traj.states, value_fn)
             index = maze.empty_index
-            n_cands = len(maze.empty_cells) + 1
             for a, m, b in triplets:
-                one_hot = np.zeros(n_cands)
-                one_hot[index[m] + 1] = 1.0
+                one_hot = np.zeros(1 + len(index))  # over ∅, then the empty cells
+                one_hot[1 + index[m]] = 1.0
                 buffer.add_prior(PriorEntry(enc_f, a, m, b, one_hot))
 
         prior_loss = value_loss = None

@@ -26,16 +26,16 @@ MAX_ORACLE_CELLS = 400
 
 @dataclass
 class ValueTable:
-    """All-pairs v* over empty cells (row-major order)."""
+    """All-pairs v* over the maze's empty cells (row-major order)."""
 
-    cells: tuple[StateId, ...]
-    index: dict[StateId, int]
+    maze: Maze
     values: np.ndarray  # (n, n) v*(i, j)
     predecessors: np.ndarray  # (n, n) int: scipy predecessor matrix
     lowlevel: np.ndarray  # (n, n) pairwise low-level values (edge weights)
 
     def value(self, s: StateId, s_prime: StateId) -> float:
-        return float(self.values[self.index[s], self.index[s_prime]])
+        index = self.maze.empty_index
+        return float(self.values[index[s], index[s_prime]])
 
     def export_text(self) -> str:
         """Matrix rows of 9-decimal values, row/col in row-major cell order."""
@@ -65,21 +65,16 @@ def exact_value_table(task: Task, low_level_value) -> ValueTable:
     graph = csgraph_from_dense(dist, null_value=np.inf)
     d, pred = floyd_warshall(graph, directed=True, return_predecessors=True)
     values = np.exp(-d)
-    return ValueTable(
-        cells=maze.empty_cells,
-        index=dict(maze.empty_index),
-        values=values,
-        predecessors=pred,
-        lowlevel=w,
-    )
+    return ValueTable(maze=maze, values=values, predecessors=pred, lowlevel=w)
 
 
 def optimal_plan(task: Task, table: ValueTable) -> Plan:
     """Argmax plan reconstructed from the table's predecessor chains."""
-    if task.start not in table.index or task.goal not in table.index:
+    index = table.maze.empty_index
+    if task.start not in index or task.goal not in index:
         raise ValueError("value table does not cover the task")
-    i = table.index[task.start]
-    j = table.index[task.goal]
+    i = index[task.start]
+    j = index[task.goal]
     if i == j:
         return Plan((task.start, task.goal), 1.0)
     if table.values[i, j] == 0.0:
@@ -91,7 +86,7 @@ def optimal_plan(task: Task, table: ValueTable) -> Plan:
             return Plan((task.start, task.goal), 0.0, infeasible=True)
         rev.append(prev)
     idxs = rev[::-1]
-    sigma = tuple(table.cells[k] for k in idxs)
+    sigma = tuple(table.maze.empty_cells[k] for k in idxs)
     objective = 1.0
     for a, b in zip(idxs, idxs[1:]):
         objective *= float(table.lowlevel[a, b])
@@ -293,32 +288,31 @@ class ExactHeuristics:
 
     def __init__(self, table: ValueTable):
         self.table = table
-        rc = np.array(table.cells, dtype=np.int64).reshape(-1, 2)
-        # table index of each cell of the table's bounding grid, -1 elsewhere
-        self._grid = np.full(tuple(rc.max(axis=0, initial=-1) + 1), -1, dtype=np.int64)
-        self._grid[rc[:, 0], rc[:, 1]] = np.arange(len(rc))
 
     def values(self, maze: Maze, pairs: np.ndarray) -> np.ndarray:
         """v* of each (r1, c1, r2, c2) row; a cell that is not one of the
         table's cells (a wall, or off the board) is a ValueError."""
         ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2, 2)
         rows, cols = ends[:, :, 0], ends[:, :, 1]
-        height, width = self._grid.shape
+        grid = self.table.maze.index_grid
+        height, width = grid.shape
         on = (rows >= 0) & (rows < height) & (cols >= 0) & (cols < width)
         idx = np.full(rows.shape, -1)
-        idx[on] = self._grid[rows[on], cols[on]]
+        idx[on] = grid[rows[on], cols[on]]
         if (idx < 0).any():
             r, c = ends[idx < 0][0]
             raise ValueError(f"cell ({r}, {c}) is not an empty cell of the value table")
         return self.table.values[idx[:, 0], idx[:, 1]]
 
-    def prior(self, task: Task, key, candidates) -> np.ndarray:
-        i = self.table.index[key.s]
-        j = self.table.index[key.s2]
-        w = np.empty(len(candidates))
+    def prior(self, task: Task, key) -> np.ndarray:
+        """Distribution over ∅ and then the table's cells, row-major."""
+        index = self.table.maze.empty_index
+        i, j = index[key.s], index[key.s2]
+        m = len(index) + 1
+        w = np.empty(m)
         w[0] = self.table.lowlevel[i, j]
         w[1:] = self.table.values[i, :] * self.table.values[:, j]
         total = w.sum()
         if total <= 0:
-            return np.full(len(candidates), 1.0 / len(candidates))
+            return np.full(m, 1.0 / m)
         return w / total

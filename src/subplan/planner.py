@@ -43,7 +43,6 @@ from subplan.tree import (
     OrKey,
     SearchTree,
     SubGoal,
-    candidate_subgoals,
     expand_node,
     touch_and_node,
     update_or_stats,
@@ -75,8 +74,9 @@ class SearchHeuristics(Protocol):
         """v_hat for (k, 4) int rows (r1, c1, r2, c2); values in [0, 1]."""
         ...
 
-    def prior(self, task: Task, key: OrKey, candidates: Sequence[SubGoal]) -> np.ndarray:
-        """Distribution over candidates (∅ first); sums to 1."""
+    def prior(self, task: Task, key: OrKey) -> np.ndarray:
+        """Distribution over the split candidates of key, which are ∅ and
+        then task.maze.empty_cells in row-major order; sums to 1."""
         ...
 
 
@@ -130,9 +130,6 @@ class SolutionTree:
                 stack.append(n.right)
                 stack.append(n.left)
         return out  # pre-order
-
-    def leaves(self) -> list[SolutionNode]:
-        return [n for n in self.nodes() if n.terminal]
 
 
 @dataclass
@@ -200,9 +197,8 @@ class PlanningContext:
             raise ValueError("the tree already has expanded keys")
         self.index = self.maze.empty_index
         self.n = n = len(self.cells)
-        self.candidates = candidate_subgoals(self.maze)
         self.v_pi = low_level_matrix(self.maze, self.low_level)
-        coords = np.array(self.cells, dtype=np.int64).reshape(n, 2)
+        coords = self.maze.coords
         vhat = np.empty(n * n)
         for a in range(0, n * n, VHAT_BLOCK_PAIRS):
             i, j = np.divmod(np.arange(a, min(a + VHAT_BLOCK_PAIRS, n * n)), n)
@@ -216,13 +212,13 @@ class PlanningContext:
         return self.index[key.s], self.index[key.s2]
 
     def prior(self, i: int, j: int) -> np.ndarray:
-        """The heuristic prior of the key (i, j) over the candidates (∅
-        first), computed on first use."""
+        """The heuristic prior of the key (i, j) over ∅ and then the cells,
+        computed on first use."""
         f = i * self.n + j
         p = self._prior.get(f)
         if p is None:
             key = OrKey(self.cells[i], self.cells[j])
-            p = np.asarray(self.heuristics.prior(self.task, key, self.candidates), dtype=float)
+            p = np.asarray(self.heuristics.prior(self.task, key), dtype=float)
             self._prior[f] = p
         return p
 
@@ -323,7 +319,9 @@ def _traverse(
     walk runs on cell indices.  The two sub-tasks of a split share
     transposition nodes and the budget counter, so the left one is
     traversed to completion before the right.  The children of path_key
-    are 2·path_key (left) and 2·path_key + 1 (right).
+    are 2·path_key (left) and 2·path_key + 1 (right), so every Select key
+    lies below 2^(max_depth + 1); a descend draw keys on path_key plus
+    2^max(30, max_depth + 1), above all of them.
     """
     v_pi = ctx.v_pi.item(i, j)
     if v_pi == 1.0:
@@ -351,7 +349,7 @@ def _traverse(
                 mode,
                 _child_stats(tree, i, x),
                 _child_stats(tree, x, j),
-                _PathRng(tie_fn, path_key + (1 << 30)),
+                _PathRng(tie_fn, path_key + (1 << max(30, ctx.config.max_depth + 1))),
             )
             if branch == "left":
                 g_left = _traverse(ctx, tree, i, x, depth + 1, 2 * path_key, tie_fn)

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from subplan.gridworld import Maze, StateId, format_cell, parse_cell
+from subplan.gridworld import StateId, format_cell, parse_cell
 
 # A sub-goal candidate: a cell, or None for the no-split symbol ∅.
 SubGoal = StateId | None
@@ -109,12 +109,6 @@ def touch_and_node(tree: SearchTree, i: int, j: int, pick: int) -> None:
         tree.and_counts[i * tree.n + j][pick] += 1
     except KeyError:
         raise ValueError(f"split of unexpanded node {(i, j)}") from None
-
-
-def candidate_subgoals(maze: Maze) -> list[SubGoal]:
-    """∅ followed by all empty cells of the maze in row-major order: the
-    split candidates of every key."""
-    return [None, *maze.empty_cells]
 
 
 def format_subgoal(mid: SubGoal) -> str:

@@ -2,14 +2,18 @@
 subplan attributes of its TRACED table, runs traced and untraced passes, and
 prints one JSON line.  A wrap target that no longer resolves, or a traced
 pass that raises, makes the run exit 1; this test runs the real path once at
-the shortest duration."""
+the shortest duration.  Its percentile estimator must also hold up at the
+sample counts a fast workload reaches in a full-length run."""
 
 from __future__ import annotations
 
 import json
+import runpy
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"
 
@@ -27,3 +31,12 @@ def test_traced_run_of_every_workload_is_correct():
     for report in reports:
         assert report["correct"] is True
         assert report["failed"] == 0
+
+
+@pytest.mark.xfail(raises=ZeroDivisionError, strict=False,
+                   reason="percentile_ms's beta weights underflow to 0 past about 1,075 samples")
+def test_percentile_of_many_samples_lies_in_their_range():
+    # a fast workload collects this many samples in a 25 s run
+    percentile_ms = runpy.run_path(str(RUN))["percentile_ms"]
+    xs = [0.001 + 0.02 * k / 1199 for k in range(1200)]  # seconds
+    assert 1.0 <= percentile_ms(xs, 50) <= 21.0

@@ -228,6 +228,14 @@ class TestTrainCompare:
         assert code == 0
         assert parse_summary(text).heuristics == "checkpoint.txt"
 
+    def test_environment_does_not_override_the_config(self, tmp_path, capsys, monkeypatch):
+        cfg = self.write_config(tmp_path, 1)
+        monkeypatch.setenv("SUBPLAN_BUDGET", "17")
+        monkeypatch.setenv("SUBPLAN_MODE", "sequential")
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", str(cfg), "--out", str(out), capsys=capsys)[0] == 0
+        assert (out / "config.txt").read_text() == cfg.read_text()
+
     def test_malformed_config_is_runtime_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("widht = 5\n")

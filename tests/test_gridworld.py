@@ -162,6 +162,43 @@ def test_generation_rejects_bad_args():
 
 
 # ---------------------------------------------------------------------------
+# the cell table
+
+
+def test_cell_table_open_3x3():
+    maze = generate_maze(5, 5, 0.0, seed=0)  # 3x3 open interior
+    rows_cols = [(r, c) for r in range(1, 4) for c in range(1, 4)]
+    assert maze.coords.dtype == np.int64 and maze.coords.shape == (9, 2)
+    assert [tuple(rc) for rc in maze.coords.tolist()] == rows_cols
+    assert maze.empty_cells == tuple(StateId(r, c) for r, c in rows_cols)
+    want = np.full((5, 5), -1)
+    want[1:4, 1:4] = np.arange(9).reshape(3, 3)
+    assert maze.index_grid.dtype == np.int64
+    assert np.array_equal(maze.index_grid, want)
+    for table in (maze.coords, maze.index_grid):
+        with pytest.raises(ValueError):
+            table[0, 0] = 5
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 9), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_cell_table_matches_the_loop_form(height, width, density, seed):
+    cells = (np.random.default_rng(seed).random((height, width)) < density).astype(np.uint8)
+    maze = Maze(width, height, cells, density, seed)
+    empties = [StateId(r, c) for r in range(height) for c in range(width) if cells[r, c] == EMPTY]
+    assert maze.empty_cells == tuple(empties)
+    assert maze.coords.tolist() == [list(s) for s in empties]
+    assert maze.empty_index == {s: k for k, s in enumerate(empties)}
+    for r in range(height):
+        for c in range(width):
+            k = empties.index(StateId(r, c)) if cells[r, c] == EMPTY else -1
+            assert maze.index_grid[r, c] == k
+    same = Maze(width, height, cells.copy(), density, seed)
+    assert np.array_equal(same.coords, maze.coords)
+    assert np.array_equal(same.index_grid, maze.index_grid)
+
+
+# ---------------------------------------------------------------------------
 # task sampling
 
 

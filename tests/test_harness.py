@@ -105,19 +105,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             experiment_config({"eval_every": "0"})
 
-    def test_env_overrides(self):
-        env = {"SUBPLAN_BUDGET": "17", "SUBPLAN_MODE": "sequential",
-               "SUBPLAN_UNRELATED": "ignored"}
-        cfg = experiment_config({"budget": "5"}, environ=env)
-        assert cfg.budget == 17
-        assert cfg.mode == "sequential_right"
-
     def test_serialize_round_trip(self, tmp_path):
         cfg = ExperimentConfig(width=7, height=5, density=0.6, budget=42,
                                mode="sequential", episodes=12, seed=3)
         path = tmp_path / "cfg.txt"
         path.write_text(serialize_config(cfg))
-        assert load_config_file(path, environ={}) == cfg
+        assert load_config_file(path) == cfg
 
     def test_default_config_text(self):
         assert serialize_config(ExperimentConfig()) == "".join([

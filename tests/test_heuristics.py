@@ -38,10 +38,9 @@ from subplan.heuristics import (
     train_step,
     training_loop,
     value_features,
-    value_targets_from_result,
 )
 from subplan.planner import PlannerConfig, PlanningContext, run_search
-from subplan.tree import OrKey, SearchTree, candidate_subgoals, expand_node, update_or_stats
+from subplan.tree import OrKey, SearchTree, expand_node, update_or_stats
 
 
 def open_grid(width: int, height: int | None = None) -> Maze:
@@ -70,8 +69,9 @@ class VhatStub:
     def values(self, maze, pairs):
         return np.full(len(pairs), self.vhat)
 
-    def prior(self, task, key, candidates):
-        return np.full(len(candidates), 1.0 / len(candidates))
+    def prior(self, task, key):
+        m = len(task.maze.empty_cells) + 1
+        return np.full(m, 1.0 / m)
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +114,12 @@ def end_rows(*pairs) -> np.ndarray:
     return np.array([(*s, *s2) for s, s2 in pairs], dtype=np.int64).reshape(-1, 4)
 
 
-def reference_prior_features(cells, s: StateId, s2: StateId, candidates) -> np.ndarray:
-    """Loop form of prior_features, one candidate at a time."""
+def reference_prior_features(cells, s: StateId, s2: StateId) -> np.ndarray:
+    """Loop form of prior_features, one candidate at a time: ∅, then every
+    non-wall cell of the board in row-major order."""
     height, width = cells.shape
+    candidates = [None, *(StateId(r, c) for r in range(height) for c in range(width)
+                          if cells[r, c] != WALL)]
     scale = float(max(height, width))
     pp = PATCH * PATCH
     base = np.zeros(PRIOR_DIM)
@@ -176,27 +179,23 @@ class TestFeaturesMatchLoopForm:
         assert got.tobytes() == reference_value_features(cells, pairs).tobytes()
 
     @settings(max_examples=150, deadline=None)
-    @given(boards(), st.integers(0, 40), st.floats(0.0, 1.0))
-    def test_prior_features(self, board, m, null_share):
+    @given(boards())
+    def test_prior_features(self, board):
         cells, rng = board
         s, s2 = (as_cell(rc) for rc in on_board(rng, cells, 2))
-        cands = [None if rng.random() < null_share else as_cell(rc)
-                 for rc in on_board(rng, cells, m)]
-        got = prior_features(cells, end_rows((s, s2)), cands)
-        assert got.shape == (m, PRIOR_DIM)
-        assert got.tobytes() == reference_prior_features(cells, s, s2, cands).tobytes()
+        got = prior_features(cells, end_rows((s, s2)))
+        assert got.shape == (1 + np.count_nonzero(cells != WALL), PRIOR_DIM)
+        assert got.tobytes() == reference_prior_features(cells, s, s2).tobytes()
 
     @settings(max_examples=100, deadline=None)
-    @given(boards(), st.integers(0, 6), st.integers(0, 20), st.floats(0.0, 1.0))
-    def test_prior_features_over_many_entries(self, board, e, m, null_share):
+    @given(boards(), st.integers(0, 6))
+    def test_prior_features_over_many_entries(self, board, e):
         """E end rows give the E one-row reference blocks, entry-major."""
         cells, rng = board
         ends = np.hstack([on_board(rng, cells, e), on_board(rng, cells, e)])
-        cands = [None if rng.random() < null_share else as_cell(rc)
-                 for rc in on_board(rng, cells, m)]
-        got = prior_features(cells, ends, cands)
-        assert got.shape == (e * m, PRIOR_DIM)
-        blocks = [reference_prior_features(cells, as_cell(row[:2]), as_cell(row[2:]), cands)
+        got = prior_features(cells, ends)
+        assert got.shape == (e * (1 + np.count_nonzero(cells != WALL)), PRIOR_DIM)
+        blocks = [reference_prior_features(cells, as_cell(row[:2]), as_cell(row[2:]))
                   for row in ends]
         want = np.concatenate(blocks) if blocks else np.empty((0, PRIOR_DIM))
         assert got.tobytes() == want.tobytes()
@@ -211,24 +210,26 @@ class TestFeaturesMatchLoopForm:
     def test_null_only_and_equal_ends(self):
         maze = generate_maze(6, 9, 0.5, seed=4)
         s = maze.empty_cells[3]
-        for cands in ([None], [None, s], [s, None, s]):
-            got = prior_features(maze.cells, end_rows((s, s)), cands)
-            assert got.tobytes() == reference_prior_features(maze.cells, s, s, cands).tobytes()
-        assert np.array_equal(prior_features(maze.cells, end_rows((s, s)), [None])[0, [0, 15]],
-                              [1.0, 1.0])
+        got = prior_features(maze.cells, end_rows((s, s)))
+        assert got.tobytes() == reference_prior_features(maze.cells, s, s).tobytes()
+        walls = np.full((4, 3), WALL, dtype=np.uint8)  # no cell: ∅ is the only candidate
+        w = StateId(1, 1)
+        got = prior_features(walls, end_rows((w, w)))
+        assert got.shape == (1, PRIOR_DIM)
+        assert got.tobytes() == reference_prior_features(walls, w, w).tobytes()
+        assert np.array_equal(got[0, [0, 15]], [1.0, 1.0])
 
     def test_boards_of_one_shape_do_not_share_features(self):
         a = np.zeros((7, 7), dtype=np.uint8)
         b = a.copy()
         b[3, 4] = WALL
         pairs = np.array([[3, 3, 3, 5]])
-        cands = [None, StateId(3, 4), StateId(2, 2)]
         ends = end_rows((StateId(3, 3), StateId(3, 5)))
         for cells in (a, b, a, b):
             assert value_features(cells, pairs).tobytes() == \
                 reference_value_features(cells, pairs).tobytes()
-            assert prior_features(cells, ends, cands).tobytes() == \
-                reference_prior_features(cells, StateId(3, 3), StateId(3, 5), cands).tobytes()
+            assert prior_features(cells, ends).tobytes() == \
+                reference_prior_features(cells, StateId(3, 3), StateId(3, 5)).tobytes()
         assert not np.array_equal(value_features(a, pairs), value_features(b, pairs))
 
     def test_cells_changed_in_place_between_calls(self):
@@ -247,11 +248,9 @@ class TestFeaturesMatchLoopForm:
         task = sample_task(maze, seed=2)
         enc = encode_task(task)
         pairs = np.array([[task.start.row, task.start.col, task.goal.row, task.goal.col]])
-        cands = candidate_subgoals(maze)
         assert value_features(enc, pairs).tobytes() == value_features(maze.cells, pairs).tobytes()
         ends = end_rows((task.start, task.goal))
-        assert prior_features(enc, ends, cands).tobytes() == \
-            prior_features(maze.cells, ends, cands).tobytes()
+        assert prior_features(enc, ends).tobytes() == prior_features(maze.cells, ends).tobytes()
 
     def test_board_cache_is_bounded_and_read_only(self):
         pairs = np.array([[0, 0, 1, 1]])
@@ -278,9 +277,8 @@ class TestFeatures:
     def test_prior_feature_shape_and_null_flag(self):
         maze = generate_maze(7, 7, 0.5, seed=2)
         task = Task(maze, maze.empty_cells[0], maze.empty_cells[-1])
-        cands = candidate_subgoals(task.maze)
-        X = prior_features(maze.cells, end_rows((task.start, task.goal)), cands)
-        assert X.shape == (len(cands), PRIOR_DIM)
+        X = prior_features(maze.cells, end_rows((task.start, task.goal)))
+        assert X.shape == (len(maze.empty_cells) + 1, PRIOR_DIM)
         assert X[0, 0] == 1.0
         assert np.all(X[1:, 0] == 0.0)
         assert np.all(np.isfinite(X))
@@ -315,9 +313,9 @@ class TestFreshModel:
         model = TrainableModel(hidden=8, seed=0)
         maze = generate_maze(5, 5, 0.5, seed=3)
         task = Task(maze, maze.empty_cells[0], maze.empty_cells[-1])
-        cands = candidate_subgoals(task.maze)
-        p = model.prior(task, OrKey(task.start, task.goal), cands)
-        assert np.allclose(p, 1.0 / len(cands), atol=1e-15)
+        p = model.prior(task, OrKey(task.start, task.goal))
+        assert p.shape == (len(maze.empty_cells) + 1,)
+        assert np.allclose(p, 1.0 / len(p), atol=1e-15)
 
     def test_inference_temperature_sharpens_prior(self):
         model = TrainableModel(hidden=8, temperature=0.003, seed=0)
@@ -326,11 +324,10 @@ class TestFreshModel:
         model.params["prior_b2"] = rng.normal(0, 1.0, 1)
         maze = row_maze(4)
         task = Task(maze, cell(0, 0), cell(0, 3))
-        cands = candidate_subgoals(task.maze)
-        z = model.prior_logits(maze.cells, task.start, task.goal, cands)
+        z = model.prior_logits(maze.cells, task.start, task.goal)
         zs = z - z.max()
         flat = np.exp(zs) / np.exp(zs).sum()  # temperature-1 softmax
-        sharp = model.prior(task, OrKey(task.start, task.goal), cands)
+        sharp = model.prior(task, OrKey(task.start, task.goal))
         assert np.argmax(sharp) == np.argmax(flat)
         assert sharp.max() > flat.max()
         assert sharp.sum() == pytest.approx(1.0, abs=1e-12)
@@ -341,8 +338,7 @@ class TestFreshModel:
         heur = UntrainedHeuristics()
         pairs = np.array([[0, 0, 0, 2]])
         assert np.all(heur.values(maze, pairs) == 0.0)
-        cands = candidate_subgoals(task.maze)
-        assert np.allclose(heur.prior(task, OrKey(task.start, task.goal), cands), 0.25)
+        assert np.array_equal(heur.prior(task, OrKey(task.start, task.goal)), np.full(4, 0.25))
 
     def test_optimizer_validated(self):
         with pytest.raises(ValueError):
@@ -543,9 +539,8 @@ class TestTargets:
         maze = generate_maze(7, 7, 0.5, seed=4)
         task = sample_task(maze, seed=5)
         res = run_search(task, VhatStub(0.3), PlannerConfig(budget=25, seed=1))
-        targets = value_targets_from_result(res)
-        assert targets == list(res.returns)
-        for key, g in targets:
+        assert res.returns == tuple((n.key, n.G) for n in res.solution_tree.nodes())
+        for key, g in res.returns:
             assert 0.0 <= g <= 1.0
 
     def test_prior_targets_follow_select_weights(self):
@@ -624,8 +619,7 @@ def manual_losses(params: dict, batch: dict) -> tuple[float, float]:
     prior_loss = 0.0
     for e in batch["prior"]:
         walls = (e.encoding == WALL).astype(np.uint8)
-        cands = [None, *(StateId(int(r), int(c)) for r, c in zip(*np.nonzero(walls == 0)))]
-        X = reference_prior_features(walls, e.s, e.s2, cands)
+        X = reference_prior_features(walls, e.s, e.s2)
         z = head("prior", X)
         zs = z - z.max()
         logp = zs - math.log(np.exp(zs).sum())
@@ -661,9 +655,7 @@ def reference_train_step(model: TrainableModel, batch: dict) -> tuple[float, flo
     if batch.get("prior"):
         entries = batch["prior"]
         X = np.concatenate([
-            reference_prior_features(e.encoding, e.s, e.s2,
-                                     [None, *map(as_cell, np.argwhere(e.encoding != WALL))])
-            for e in entries
+            reference_prior_features(e.encoding, e.s, e.s2) for e in entries
         ])
         z, A = model._head_forward("prior", X)
         dz = np.empty_like(z)
@@ -772,16 +764,14 @@ class TestTrainStep:
         model = TrainableModel(hidden=6, seed=2)
         for k in model.params:
             model.params[k] = rng.normal(0, 2.0, model.params[k].shape)
-        priors, cands = [], []
+        priors = []
         for k in range(7):
             maze = mazes[k % 2]
             cells = maze.empty_cells
             w = rng.random(len(cells) + 1)
             enc = encode_task(Task(maze, cells[0], cells[-1]))
             priors.append(PriorEntry(enc, cells[k], None, cells[-1 - k], w / w.sum()))
-            cands.append(candidate_subgoals(maze))
-        X = np.concatenate([prior_features(e.encoding, end_rows((e.s, e.s2)), c)
-                            for e, c in zip(priors, cands)])
+        X = np.concatenate([prior_features(e.encoding, end_rows((e.s, e.s2))) for e in priors])
         z, _ = model._head_forward("prior", X)
         total, off = 0.0, 0
         for e in priors:
@@ -896,7 +886,7 @@ class TestTrainStep:
         model.values(maze, pairs)
         assert calls == ["value_features"]
         task = Task(maze, maze.empty_cells[0], maze.empty_cells[-1])
-        model.prior(task, OrKey(task.start, task.goal), candidate_subgoals(maze))
+        model.prior(task, OrKey(task.start, task.goal))
         assert calls == ["value_features", "prior_features"]
         calls.clear()
         batch = make_batch(maze, np.random.default_rng(2))

@@ -399,7 +399,7 @@ class TestExactHeuristics:
             rng = np.random.default_rng(seed)
             picks = rng.integers(len(cells), size=(40, 2))
             pairs = np.array([[*cells[i], *cells[j]] for i, j in picks])
-            want = np.array([table.values[table.index[cells[i]], table.index[cells[j]]]
+            want = np.array([table.values[maze.empty_index[cells[i]], maze.empty_index[cells[j]]]
                              for i, j in picks])
             assert heur.values(maze, pairs).tobytes() == want.tobytes()
         assert heur.values(maze, np.empty((0, 4), dtype=np.int64)).shape == (0,)
@@ -414,17 +414,22 @@ class TestExactHeuristics:
             for pairs in ([[*a, *bad]], [[*bad, *a]], [[*a, *a], [*bad, *a]]):
                 with pytest.raises(ValueError, match="not an empty cell"):
                     heur.values(maze, np.array(pairs))
+        # no wall border: a negative index must not wrap onto a cell
+        grid = open_grid(3)
+        heur = ExactHeuristics(exact_value_table(Task(grid, cell(0, 0), cell(2, 2)), Pi0()))
+        for bad in ((3, 0), (0, 3), (-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="not an empty cell"):
+                heur.values(grid, np.array([[0, 0, *bad]]))
 
     def test_prior_is_distribution_weighted_by_products(self):
         maze = row_maze(3)
         task = Task(maze, cell(0, 0), cell(0, 2))
         table = exact_value_table(task, half_edge_values)
         heur = ExactHeuristics(table)
-        from subplan.tree import OrKey, candidate_subgoals
+        from subplan.tree import OrKey
 
         key = OrKey(task.start, task.goal)
-        cands = candidate_subgoals(task.maze)
-        p = heur.prior(task, key, cands)
+        p = heur.prior(task, key)
         assert p.shape == (4,)
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(p >= 0)
@@ -441,8 +446,8 @@ class TestExactHeuristics:
 
         table = exact_value_table(task, dead_values)
         heur = ExactHeuristics(table)
-        from subplan.tree import OrKey, candidate_subgoals
+        from subplan.tree import OrKey
 
         key = OrKey(cell(0, 0), cell(0, 2))
-        p = heur.prior(task, key, candidate_subgoals(task.maze))
+        p = heur.prior(task, key)
         assert np.allclose(p, 0.25, atol=1e-12)

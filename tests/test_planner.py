@@ -105,12 +105,13 @@ class StubHeuristics:
     def values(self, maze, pairs):
         return np.full(len(pairs), self.vhat)
 
-    def prior(self, task, key, candidates):
+    def prior(self, task, key):
         if self._prior_map is not None and key in self._prior_map:
             return np.asarray(self._prior_map[key], dtype=float)
         if self._prior is not None:
             return np.asarray(self._prior, dtype=float)
-        return np.full(len(candidates), 1.0 / len(candidates))
+        m = len(task.maze.empty_cells) + 1
+        return np.full(m, 1.0 / m)
 
 
 def make_search(task, heuristics, config, low_level=None):
@@ -164,7 +165,7 @@ def scores(tree, key, c_puct):
 def select(tree, key, c_puct, rng):
     """The sub-goal Select picks at key, ties broken with rng."""
     pick = _argmax_with_ties(scores(tree, key, c_puct), lambda _, n: int(rng.integers(n)), 0)
-    return tree.context.candidates[pick]
+    return None if pick == 0 else tree.cells[pick - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +414,9 @@ class CountingHeuristics(StubHeuristics):
         super().__init__(**kw)
         self.prior_calls = []
 
-    def prior(self, task, key, candidates):
+    def prior(self, task, key):
         self.prior_calls.append(key)
-        return super().prior(task, key, candidates)
+        return super().prior(task, key)
 
 
 class TestLazyPrior:
@@ -785,7 +786,7 @@ class TestSelectMatrix:
             elif kind == "update" and key in keys(tree):
                 update(tree, ctx, key, data.draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])))
             elif kind == "touch" and key in keys(tree):
-                touch(tree, ctx, key, data.draw(st.sampled_from(ctx.candidates)))
+                touch(tree, ctx, key, data.draw(st.sampled_from([None, *ctx.cells])))
 
             unexpanded = ~expanded_mask(tree)
             assert tree.V[unexpanded].tobytes() == bootstrap[unexpanded].tobytes()
@@ -1120,7 +1121,7 @@ class TestRunSearch:
             maze = generate_maze(7, 7, 0.5, seed=seed)
             task = sample_task(maze, seed=seed)
             res = run_search(task, StubHeuristics(vhat=0.4), PlannerConfig(budget=30, seed=seed))
-            leaves = res.solution_tree.leaves()
+            leaves = [n for n in res.solution_tree.nodes() if n.terminal]
             prod = 1.0
             ctx = res.tree.context
             for leaf in leaves:
@@ -1262,6 +1263,25 @@ class TestDescend:
         s_left = 0.5 + math.sqrt(2) * math.sqrt(total / 11)
         s_right = 0.5 + math.sqrt(2) * math.sqrt(total / 1)
         assert s_right > s_left
+
+    @pytest.mark.parametrize("mode", planner_mod.DESCEND_MODES)
+    def test_descend_draws_key_above_every_select_key(self, mode, monkeypatch):
+        # Select keys lie below 2^(max_depth + 1), so past max_depth 29 the
+        # descend draws must move up with them or share a Select key's stream
+        max_depth = 40
+        keys = []
+        orig = planner_mod.descend_one
+
+        def recording(m, left_stats, right_stats, rng):
+            keys.append(rng._path_key)
+            return orig(m, left_stats, right_stats, rng)
+
+        monkeypatch.setattr(planner_mod, "descend_one", recording)
+        maze = generate_maze(9, 9, 0.6, seed=1)
+        cfg = PlannerConfig(budget=60, max_depth=max_depth, mode=mode, seed=2)
+        run_search(sample_task(maze, 1), StubHeuristics(vhat=0.3), cfg)
+        assert keys
+        assert min(keys) >= 2 ** (max_depth + 1)
 
     def test_descend_modes_run_end_to_end(self):
         maze = generate_maze(7, 7, 0.5, seed=2)

@@ -12,7 +12,6 @@ from subplan.tree import (
     BudgetExhausted,
     OrKey,
     SearchTree,
-    candidate_subgoals,
     dump_tree,
     expand_node,
     load_tree_dump,
@@ -180,32 +179,6 @@ def test_sibling_and_counts_sum_to_parent_n(script):
     N = stats(tree, tree.root)[1]
     assert counts(tree, tree.root).sum() == N == len(script)
     assert counts(tree, tree.root).max() <= N
-
-
-# ---------------------------------------------------------------------------
-# candidates
-
-
-def test_candidates_open_3x3():
-    maze = generate_maze(5, 5, 0.0, seed=0)  # 3x3 open interior
-    cands = candidate_subgoals(maze)
-    assert len(cands) == 10
-    assert cands[0] is None
-    assert list(cands[1:]) == list(maze.empty_cells)
-    rows_cols = [(s.row, s.col) for s in cands[1:]]
-    assert rows_cols == sorted(rows_cols)
-
-
-def test_candidates_count_and_determinism():
-    cells = np.full((3, 7), 1, dtype=np.uint8)
-    cells[1, 1:6] = 0
-    from subplan.gridworld import Maze
-
-    maze = Maze(7, 3, cells, 1.0, 0)
-    a = candidate_subgoals(maze)
-    b = candidate_subgoals(Maze(7, 3, cells.copy(), 1.0, 0))
-    assert len(a) == 6
-    assert a == b
 
 
 # ---------------------------------------------------------------------------
